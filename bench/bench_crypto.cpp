@@ -3,7 +3,8 @@
 // These numbers bound the simulator's MEE/paging cost model: EPC page
 // eviction performs one AES-GCM pass over 4 KiB, so the paging costs
 // charged by sgx::CostModel should be consistent with the measured AEAD
-// throughput of this (portable, non-AES-NI) implementation.
+// throughput. The backend (AES-NI/PCLMULQDQ/SHA-NI or portable) is picked
+// by cpuid and printed in the run's context header.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "crypto/entropy.hpp"
 #include "crypto/gcm.hpp"
 #include "crypto/hmac.hpp"
+#include "crypto/kernels.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/x25519.hpp"
 
@@ -158,6 +160,10 @@ int main(int argc, char** argv) {
   }
   argc = keep;
   benchmark::Initialize(&argc, argv);
+  benchmark::AddCustomContext(
+      "aes_gcm_backend", crypto::kernels::has_aes_clmul() ? "aes-ni+pclmulqdq" : "portable");
+  benchmark::AddCustomContext("sha256_backend",
+                              crypto::kernels::has_sha_ni() ? "sha-ni" : "portable");
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -14,12 +14,15 @@
 
 namespace securecloud::benchutil {
 
+/// `extra` adds top-level fields, written as `"name":value` pairs joined by
+/// commas (empty for none); bench_compare.py gates every `*_per_sec` one.
 inline void emit_bench_json(const std::string& bench, std::size_t threads,
-                            const obs::Registry& registry) {
+                            const obs::Registry& registry, const std::string& extra = "") {
   std::printf(
       "{\"schema\":\"securecloud.bench.v1\",\"bench\":\"%s\",\"threads\":%zu,"
-      "\"obs\":%s}\n",
-      bench.c_str(), threads, registry.to_json().c_str());
+      "%s%s\"obs\":%s}\n",
+      bench.c_str(), threads, extra.c_str(), extra.empty() ? "" : ",",
+      registry.to_json().c_str());
 }
 
 }  // namespace securecloud::benchutil

@@ -638,8 +638,10 @@ void DistributedMapReduce::worker_handle_map_task(Worker& worker,
   // workers see it through the shared driver (simulating code shipped in
   // the measured enclave image).
   const MapFn& map_fn = *current_map_fn_;
+  // One context for the task: seal/open are const and stateless, so the
+  // pool threads share it.
+  const crypto::AesGcm gcm(worker.job_key);
   common::run_indexed(pool_, records.size(), [&](std::size_t i) {
-    crypto::AesGcm gcm(worker.job_key);
     auto plain = gcm.open_combined(to_bytes("record"), records[i]);
     if (!plain.ok()) {
       failed[i] = 1;

@@ -1,5 +1,7 @@
 #include "crypto/ctr.hpp"
 
+#include "crypto/kernels.hpp"
+
 namespace securecloud::crypto {
 
 namespace {
@@ -12,6 +14,11 @@ inline void increment_counter(std::uint8_t block[16]) {
 }  // namespace
 
 void aes_ctr_xor(const Aes& aes, const std::uint8_t iv16[16], MutableByteView data) {
+  if (aes.hardware_) {
+    kernels::aes_ctr_xor_x86(aes.round_key_bytes_.data(), aes.rounds_, iv16, data.data(),
+                             data.size());
+    return;
+  }
   std::uint8_t counter[16];
   std::memcpy(counter, iv16, 16);
   std::uint8_t keystream[16];

@@ -4,6 +4,7 @@
 
 #include "crypto/ctr.hpp"
 #include "crypto/hmac.hpp"  // constant_time_equal
+#include "crypto/kernels.hpp"
 
 namespace securecloud::crypto {
 
@@ -45,19 +46,23 @@ const std::array<std::uint64_t, 256>& reduction_table() {
 
 }  // namespace
 
-AesGcm::AesGcm(ByteView key) : aes_(key) {
+AesGcm::AesGcm(ByteView key) : AesGcm(key, kernels::has_aes_clmul()) {}
+
+AesGcm::AesGcm(ByteView key, bool hardware) : aes_(key, hardware) {
   std::uint8_t zero[16] = {};
   std::uint8_t h[16];
   aes_.encrypt_block(zero, h);
-  h_.hi = load_be64(ByteView(h, 8));
-  h_.lo = load_be64(ByteView(h + 8, 8));
+  if (hardware) {
+    kernels::ghash_init_x86(h, h_powers_.data());
+    return;
+  }
 
   // h_table_[b] = (Σ_j b_j·x^j) · H for the 8 bits of b (MSB = x^0),
   // filled in by linearity from the 8 single-bit products H·x^j.
   Gf128 basis[8];
-  basis[0] = h_;
+  basis[0] = Gf128{load_be64(ByteView(h, 8)), load_be64(ByteView(h + 8, 8))};
   for (int j = 1; j < 8; ++j) basis[j] = gf_shift_reduce(basis[j - 1]);
-  h_table_[0] = Gf128{};
+  h_table_.resize(256);
   for (std::size_t b = 1; b < 256; ++b) {
     const int bit = std::countr_zero(b);  // lowest set bit = highest power
     const Gf128& rest = h_table_[b & (b - 1)];
@@ -88,6 +93,17 @@ AesGcm::Gf128 AesGcm::gf_mul_h(Gf128 x) const {
 }
 
 AesGcm::Gf128 AesGcm::ghash(ByteView aad, ByteView ciphertext) const {
+  if (aes_.hardware_) {
+    std::uint8_t y[16] = {};
+    std::uint8_t lengths[16];
+    store_be64(MutableByteView(lengths, 8), static_cast<std::uint64_t>(aad.size()) * 8);
+    store_be64(MutableByteView(lengths + 8, 8), static_cast<std::uint64_t>(ciphertext.size()) * 8);
+    kernels::ghash_x86(h_powers_.data(), y, aad.data(), aad.size());
+    kernels::ghash_x86(h_powers_.data(), y, ciphertext.data(), ciphertext.size());
+    kernels::ghash_x86(h_powers_.data(), y, lengths, sizeof lengths);
+    return Gf128{load_be64(ByteView(y, 8)), load_be64(ByteView(y + 8, 8))};
+  }
+
   Gf128 y;
 
   auto absorb = [&](ByteView data) {

@@ -1,21 +1,12 @@
 #include "crypto/sha256.hpp"
 
+#include "crypto/kernels.hpp"
+
 namespace securecloud::crypto {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 64> kK = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+constexpr const auto& kK = kernels::kSha256K;
 
 inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
@@ -23,10 +14,21 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
 
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+Sha256::Sha256() : Sha256(kernels::has_sha_ni()) {}
+
+Sha256::Sha256(bool hardware)
+    : hardware_(hardware),
+      state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
       buffer_{} {}
+
+void Sha256::process_blocks(const std::uint8_t* data, std::size_t blocks) {
+  if (hardware_) {
+    kernels::sha256_blocks_x86(state_.data(), data, blocks);
+    return;
+  }
+  for (std::size_t i = 0; i < blocks; ++i) process_block(data + 64 * i);
+}
 
 void Sha256::process_block(const std::uint8_t* block) {
   std::uint32_t w[64];
@@ -70,6 +72,9 @@ void Sha256::process_block(const std::uint8_t* block) {
 }
 
 void Sha256::update(ByteView data) {
+  // An empty view may carry a null pointer, and memcpy from null is UB
+  // even for zero bytes.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {
@@ -78,14 +83,13 @@ void Sha256::update(ByteView data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      process_blocks(buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
-  }
+  const std::size_t blocks = (data.size() - offset) / 64;
+  process_blocks(data.data() + offset, blocks);
+  offset += 64 * blocks;
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
     buffer_len_ = data.size() - offset;
@@ -94,17 +98,17 @@ void Sha256::update(ByteView data) {
 
 Sha256Digest Sha256::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    update(ByteView(&zero, 1));
+  // Pad in place: 0x80, zeros up to byte 56 (spilling into a second block
+  // when fewer than 9 bytes are free), then the 64-bit bit length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    process_blocks(buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  std::uint8_t len_bytes[8];
-  store_be64(len_bytes, bit_len);
-  // Bypass update()'s length accounting for the final length block.
-  std::memcpy(buffer_.data() + 56, len_bytes, 8);
-  process_block(buffer_.data());
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  store_be64(MutableByteView(buffer_.data() + 56, 8), bit_len);
+  process_blocks(buffer_.data(), 1);
   buffer_len_ = 0;
 
   Sha256Digest out;

@@ -2,6 +2,8 @@
 //
 // Used for enclave measurements (MRENCLAVE), content-addressed image
 // layers, FS-protection-file hashes, and as the hash underlying HMAC/HKDF.
+// Compresses with SHA-NI when the CPU has it (crypto/kernels.hpp), else
+// with the portable code; digests are identical.
 #pragma once
 
 #include <array>
@@ -10,6 +12,10 @@
 #include "common/bytes.hpp"
 
 namespace securecloud::crypto {
+
+namespace kernels {
+struct Access;
+}
 
 inline constexpr std::size_t kSha256DigestSize = 32;
 using Sha256Digest = std::array<std::uint8_t, kSha256DigestSize>;
@@ -28,8 +34,14 @@ class Sha256 {
   static Sha256Digest hash(ByteView data);
 
  private:
-  void process_block(const std::uint8_t* block);
+  friend struct kernels::Access;
 
+  explicit Sha256(bool hardware);
+
+  void process_blocks(const std::uint8_t* data, std::size_t blocks);
+  void process_block(const std::uint8_t* block);  // portable compression
+
+  bool hardware_;  // SHA-NI kernel, else portable
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_ = 0;

@@ -87,6 +87,9 @@ void Sha512::process_block(const std::uint8_t* block) {
 }
 
 void Sha512::update(ByteView data) {
+  // An empty view may carry a null pointer, and memcpy from null is UB
+  // even for zero bytes.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {
@@ -111,14 +114,16 @@ void Sha512::update(ByteView data) {
 
 Sha512Digest Sha512::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 112) {
-    update(ByteView(&zero, 1));
+  // Pad in place: 0x80, zeros up to byte 112 (spilling into a second
+  // block when fewer than 17 bytes are free), then the 128-bit bit length
+  // whose high 64 bits are zero for our message sizes.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 112) {
+    std::memset(buffer_.data() + buffer_len_, 0, 128 - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  // 128-bit length field; high 64 bits are zero for our message sizes.
-  std::memset(buffer_.data() + 112, 0, 8);
+  std::memset(buffer_.data() + buffer_len_, 0, 120 - buffer_len_);
   store_be64(MutableByteView(buffer_.data() + 120, 8), bit_len);
   process_block(buffer_.data());
   buffer_len_ = 0;

@@ -70,6 +70,26 @@ TEST(Sha256, StreamingMatchesOneShotAtAllSplitPoints) {
   }
 }
 
+// An empty view carries a null pointer; update() must not memcpy from it
+// (UB even for zero bytes, which UBSan reports), at any buffer fill.
+TEST(Sha256, EmptyUpdatesAreNoOps) {
+  const Bytes msg = to_bytes("abc");
+  Sha256 h;
+  h.update(ByteView{});
+  h.update(msg);
+  h.update(ByteView{});
+  EXPECT_EQ(h.finish(), Sha256::hash(msg));
+}
+
+TEST(Sha512, EmptyUpdatesAreNoOps) {
+  const Bytes msg = to_bytes("abc");
+  Sha512 h;
+  h.update(ByteView{});
+  h.update(msg);
+  h.update(ByteView{});
+  EXPECT_EQ(h.finish(), Sha512::hash(msg));
+}
+
 // ---------------------------------------------------------------- SHA-512
 
 TEST(Sha512, EmptyString) {
