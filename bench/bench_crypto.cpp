@@ -120,6 +120,16 @@ void BM_X25519(benchmark::State& state) {
 }
 BENCHMARK(BM_X25519);
 
+void BM_Ed25519Keypair(benchmark::State& state) {
+  DeterministicEntropy entropy(13);
+  const auto seed = entropy.array<32>();
+  for (auto _ : state) {
+    auto kp = ed25519_keypair(seed);
+    benchmark::DoNotOptimize(kp);
+  }
+}
+BENCHMARK(BM_Ed25519Keypair);
+
 void BM_Ed25519Sign(benchmark::State& state) {
   DeterministicEntropy entropy(9);
   const auto kp = ed25519_keypair(entropy.array<32>());

@@ -14,6 +14,11 @@
 // shrink per-worker map work but add shuffle hops — the classic
 // distributed-job trade the paper's evaluation sweeps.
 //
+// Part 4: attested bring-up — full AttestedSession handshakes on one
+// fabric (X25519 ephemerals, quote signing and verification both ways),
+// reported as handshakes_per_sec so the CI perf gate covers the
+// Curve25519 code every enclave pays before it holds a key.
+//
 // Flags: --threads N (contended-ingress sender count, default 8),
 // --smoke (shrink message counts for CI).
 // Last line: one securecloud.bench.v1 record (CI's bench smoke step
@@ -28,11 +33,14 @@
 
 #include "bench_json.hpp"
 #include "bigdata/distributed_mapreduce.hpp"
+#include "bigdata/mapreduce.hpp"
 #include "common/sim_clock.hpp"
 #include "net/fabric.hpp"
+#include "net/session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"
 #include "sgx/attestation.hpp"
+#include "sgx/platform.hpp"
 
 namespace {
 
@@ -381,6 +389,64 @@ void bench_worker_recovery() {
       chaos_ms - clean_ms);
 }
 
+// One initiator/responder pair on two platforms: start() and then
+// rehandshake() repeatedly, each a full mutual attested handshake.
+void bench_attested_handshakes() {
+  SimClock clock;
+  net::Fabric fabric(clock);
+  const net::NodeId a = fabric.add_node("a");
+  const net::NodeId b = fabric.add_node("b");
+  (void)fabric.connect(a, b);
+  sgx::AttestationService service;
+  sgx::PlatformConfig ca;
+  ca.platform_id = "platform-a";
+  ca.entropy_seed = 11;
+  sgx::PlatformConfig cb;
+  cb.platform_id = "platform-b";
+  cb.entropy_seed = 22;
+  sgx::Platform platform_a(ca);
+  sgx::Platform platform_b(cb);
+  platform_a.provision(service);
+  platform_b.provision(service);
+  const sgx::EnclaveImage image = bigdata::mapreduce_worker_image();
+  auto config = [&](net::NodeId self, net::NodeId peer, sgx::Platform& platform) {
+    net::AttestedSession::Config c;
+    c.fabric = &fabric;
+    c.self = self;
+    c.peer = peer;
+    c.enclave = platform.create_enclave(image).value();
+    c.platform = &platform;
+    c.attestation = &service;
+    return c;
+  };
+  net::AttestedSession responder(net::AttestedSession::Role::kResponder,
+                                 config(b, a, platform_b));
+  net::AttestedSession initiator(net::AttestedSession::Role::kInitiator,
+                                 config(a, b, platform_a));
+  if (!responder.bind().ok() || !initiator.bind().ok()) {
+    std::printf("{\"bench\":\"net_fabric_handshake\",\"error\":\"bind failed\"}\n");
+    return;
+  }
+
+  const std::size_t kHandshakes = g_smoke ? 64 : 512;
+  bool ok = true;
+  const double secs = wall_seconds([&] {
+    for (std::size_t i = 0; i < kHandshakes && ok; ++i) {
+      ok = (i == 0 ? initiator.start() : initiator.rehandshake()).ok();
+      fabric.run_until_idle();
+      ok = ok && initiator.established() && responder.established();
+    }
+  });
+  if (!ok) {
+    std::printf("{\"bench\":\"net_fabric_handshake\",\"error\":\"handshake failed\"}\n");
+    return;
+  }
+  std::printf(
+      "{\"bench\":\"net_fabric_handshake\",\"handshakes\":%zu,\"seconds\":%.4f,"
+      "\"handshakes_per_sec\":%.1f}\n",
+      kHandshakes, secs, static_cast<double>(kHandshakes) / secs);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -397,6 +463,7 @@ int main(int argc, char** argv) {
   bench_contended_ingress();
   bench_cluster_trace();
   bench_worker_recovery();
+  bench_attested_handshakes();
   bench_cluster_scaling();  // last: CI expects the bench.v1 line last
   return 0;
 }

@@ -45,7 +45,9 @@ FlowNode::Outbound& FlowNode::outbound(net::NodeId dst) {
         key_, stream_id(self_, dst), config_.chunk_size);
     sender->enable_retransmit_buffer(config_.retransmit_buffer_chunks);
     sender->set_obs(registry_);
-    it = outbound_.emplace(dst, Outbound{std::move(sender), 0, 0}).first;
+    Outbound out;
+    out.sender = std::move(sender);
+    it = outbound_.emplace(dst, std::move(out)).first;
   }
   return it->second;
 }
@@ -181,6 +183,9 @@ void FlowNode::on_chunk(const net::Message& message) {
       } else if (on_payload_) {
         on_payload_(message.src, std::move(payload));
       }
+      // The callback may abandon_peer() or quiesce(), which erases `in`:
+      // the stream is forgotten, so nothing more is delivered from it.
+      if (!inbound_.contains(message.src)) return;
     }
   }
   refresh_depth();

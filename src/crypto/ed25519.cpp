@@ -9,19 +9,19 @@ namespace {
 
 namespace f = f25519;
 using f::Gf;
-using i64 = f::i64;
+using i64 = std::int64_t;
 
-// Edwards curve constants (TweetNaCl): d, 2d, basepoint (X, Y), sqrt(-1).
-constexpr Gf kD = {0x78a3, 0x1359, 0x4dca, 0x75eb, 0xd8ab, 0x4141, 0x0a4d, 0x0070,
-                   0xe898, 0x7779, 0x4079, 0x8cc7, 0xfe73, 0x2b6f, 0x6cee, 0x5203};
-constexpr Gf kD2 = {0xf159, 0x26b2, 0x9b94, 0xebd6, 0xb156, 0x8283, 0x149a, 0x00e0,
-                    0xd130, 0xeef3, 0x80f2, 0x198e, 0xfce7, 0x56df, 0xd9dc, 0x2406};
-constexpr Gf kX = {0xd51a, 0x8f25, 0x2d60, 0xc956, 0xa7b2, 0x9525, 0xc760, 0x692c,
-                   0xdc5c, 0xfdd6, 0xe231, 0xc0a4, 0x53fe, 0xcd6e, 0x36d3, 0x2169};
-constexpr Gf kY = {0x6658, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666,
-                   0x6666, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666, 0x6666};
-constexpr Gf kI = {0xa0b0, 0x4a0e, 0x1b27, 0xc4ee, 0xe478, 0xad2f, 0x1806, 0x2f43,
-                   0xd7a7, 0x3dfb, 0x0099, 0x2b4d, 0xdf0b, 0x4fc1, 0x2480, 0x2b83};
+// Edwards curve constants in radix 2^51: d, 2d, basepoint (X, Y), sqrt(-1).
+constexpr Gf kD = {0x34dca135978a3, 0x1a8283b156ebd, 0x5e7a26001c029,
+                   0x739c663a03cbb, 0x52036cee2b6ff};
+constexpr Gf kD2 = {0x69b9426b2f159, 0x35050762add7a, 0x3cf44c0038052,
+                    0x6738cc7407977, 0x2406d9dc56dff};
+constexpr Gf kX = {0x62d608f25d51a, 0x412a4b4f6592a, 0x75b7171a4b31d,
+                   0x1ff60527118fe, 0x216936d3cd6e5};
+constexpr Gf kY = {0x6666666666658, 0x4cccccccccccc, 0x1999999999999,
+                   0x3333333333333, 0x6666666666666};
+constexpr Gf kI = {0x61b274a0ea0b0, 0x0d5a5fc8f189d, 0x7ef5e9cbd0c60,
+                   0x78595a6804c9e, 0x2b8324804fc1d};
 
 // Group order L = 2^252 + 27742317777372353535851937790883648493.
 constexpr std::uint64_t kL[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58,
@@ -31,7 +31,9 @@ constexpr std::uint64_t kL[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58
 
 using Point = std::array<Gf, 4>;  // extended coordinates (X, Y, Z, T)
 
-/// Unified Edwards point addition: p += q.
+constexpr Point kIdentity = {f::kGf0, f::kGf1, f::kGf1, f::kGf0};
+
+/// Unified Edwards point addition: p += q (complete on the curve).
 void point_add(Point& p, const Point& q) {
   Gf a, b, c, d, t, e, ff, g, h;
   f::sub(a, p[1], p[0]);
@@ -54,6 +56,29 @@ void point_add(Point& p, const Point& q) {
   f::mul(p[3], e, h);
 }
 
+/// Dedicated doubling for a = -1 (dbl-2008-hwcd, 4S + 4M): p = 2p. It
+/// reads only X, Y, Z and yields the same projective point as
+/// point_add(p, p); both are complete on the curve.
+void point_double(Point& p) {
+  Gf xx, yy, zz2, s, e, g, ff, h;
+  f::square(xx, p[0]);
+  f::square(yy, p[1]);
+  f::square(zz2, p[2]);
+  f::add(zz2, zz2, zz2);  // 2Z^2
+  f::add(s, p[0], p[1]);
+  f::square(s, s);        // (X + Y)^2
+  f::add(h, yy, xx);      // -H  = Y^2 + X^2
+  f::sub(g, yy, xx);      //  G  = Y^2 - X^2
+  f::sub(e, s, h);        //  E  = 2XY
+  f::sub(ff, zz2, g);     // -F  = 2Z^2 - G
+  // Each product has exactly one negated factor, so all four coordinates
+  // come out negated: (-X : -Y : -Z : -T) is the same point.
+  f::mul(p[0], e, ff);
+  f::mul(p[1], h, g);
+  f::mul(p[2], g, ff);
+  f::mul(p[3], e, h);
+}
+
 void point_cswap(Point& p, Point& q, int b) {
   for (std::size_t i = 0; i < 4; ++i) f::cswap(p[i], q[i], b);
 }
@@ -69,26 +94,130 @@ void point_pack(std::uint8_t r[32], const Point& p) {
 
 /// Constant-time scalar multiplication p = s * q (s: 32-byte scalar).
 void point_scalarmult(Point& p, Point& q, const std::uint8_t* s) {
-  p[0] = f::kGf0;
-  p[1] = f::kGf1;
-  p[2] = f::kGf1;
-  p[3] = f::kGf0;
+  p = kIdentity;
   for (int i = 255; i >= 0; --i) {
     const int b = (s[i / 8] >> (i & 7)) & 1;
     point_cswap(p, q, b);
     point_add(q, p);
-    point_add(p, p);
+    point_double(p);
     point_cswap(p, q, b);
   }
 }
 
+/// An affine point as (y + x, y - x, 2dxy): the operand of point_madd.
+struct Precomp {
+  Gf ypx, ymx, xy2d;
+};
+
+/// Mixed addition p += q for an affine q (7M).
+void point_madd(Point& p, const Precomp& q) {
+  Gf a, b, c, d, e, ff, g, h;
+  f::sub(a, p[1], p[0]);
+  f::mul(a, a, q.ymx);
+  f::add(b, p[1], p[0]);
+  f::mul(b, b, q.ypx);
+  f::mul(c, p[3], q.xy2d);
+  f::add(d, p[2], p[2]);
+  f::sub(e, b, a);
+  f::sub(ff, d, c);
+  f::add(g, d, c);
+  f::add(h, b, a);
+  f::mul(p[0], e, ff);
+  f::mul(p[1], h, g);
+  f::mul(p[2], g, ff);
+  f::mul(p[3], e, h);
+}
+
+Precomp to_precomp(const Point& p) {
+  Gf zi, x, y;
+  f::invert(zi, p[2]);
+  f::mul(x, p[0], zi);
+  f::mul(y, p[1], zi);
+  Precomp r;
+  f::add(r.ypx, y, x);
+  f::sub(r.ymx, y, x);
+  f::mul(r.xy2d, x, y);
+  f::mul(r.xy2d, r.xy2d, kD2);
+  return r;
+}
+
+/// kBase[i][j] = (j + 1) * 256^i * B: 32 rows of the odd and even radix-16
+/// digit positions 2i and 2i + 1 (the latter scaled by 16 at the end).
+using BaseTable = std::array<std::array<Precomp, 8>, 32>;
+
+const BaseTable& base_table() {
+  static const BaseTable table = [] {
+    BaseTable t;
+    Point row = {kX, kY, f::kGf1, f::kGf0};
+    f::mul(row[3], kX, kY);
+    for (std::size_t i = 0; i < 32; ++i) {
+      Point multiple = row;
+      for (std::size_t j = 0; j < 8; ++j) {
+        t[i][j] = to_precomp(multiple);
+        point_add(multiple, row);
+      }
+      for (int k = 0; k < 8; ++k) point_double(row);  // row *= 256
+    }
+    return t;
+  }();
+  return table;
+}
+
+/// 1 when a == b, else 0, without a branch.
+int ct_equal(std::uint32_t a, std::uint32_t b) {
+  return static_cast<int>(((a ^ b) - 1) >> 31);
+}
+
+/// r = digit * 256^row * B for digit in [-8, 8]. Scans all eight entries
+/// of the row and negates by masks: no branch or index on the digit.
+void table_select(Precomp& r, std::size_t row, std::int8_t digit) {
+  const auto bits = static_cast<std::uint8_t>(digit);
+  const int negative = bits >> 7;
+  const auto magnitude = static_cast<std::uint32_t>(
+      digit - ((-negative & digit) * 2));  // |digit|
+  r = {f::kGf1, f::kGf1, f::kGf0};  // the identity: digit 0
+  const auto& entries = base_table()[row];
+  for (std::size_t j = 0; j < 8; ++j) {
+    const int hit = ct_equal(magnitude, static_cast<std::uint32_t>(j + 1));
+    f::cmov(r.ypx, entries[j].ypx, hit);
+    f::cmov(r.ymx, entries[j].ymx, hit);
+    f::cmov(r.xy2d, entries[j].xy2d, hit);
+  }
+  // -(x, y) = (-x, y): swap y+x with y-x and negate 2dxy.
+  f::cswap(r.ypx, r.ymx, negative);
+  Gf minus;
+  f::sub(minus, f::kGf0, r.xy2d);
+  f::cmov(r.xy2d, minus, negative);
+}
+
+/// Constant-time fixed-base multiplication p = s * B for a 32-byte
+/// scalar s < 2^255, from signed radix-16 digits and the base table.
 void point_scalarbase(Point& p, const std::uint8_t* s) {
-  Point q;
-  q[0] = kX;
-  q[1] = kY;
-  q[2] = f::kGf1;
-  f::mul(q[3], kX, kY);
-  point_scalarmult(p, q, s);
+  std::int8_t e[64];
+  for (std::size_t i = 0; i < 32; ++i) {
+    e[2 * i] = static_cast<std::int8_t>(s[i] & 15);
+    e[2 * i + 1] = static_cast<std::int8_t>(s[i] >> 4);
+  }
+  // Recentre each digit into [-8, 8): e[63] absorbs the last carry.
+  std::int8_t carry = 0;
+  for (std::size_t i = 0; i < 63; ++i) {
+    e[i] = static_cast<std::int8_t>(e[i] + carry);
+    carry = static_cast<std::int8_t>((e[i] + 8) >> 4);
+    e[i] = static_cast<std::int8_t>(e[i] - carry * 16);
+  }
+  e[63] = static_cast<std::int8_t>(e[63] + carry);
+
+  Precomp t;
+  p = kIdentity;
+  for (std::size_t i = 1; i < 64; i += 2) {
+    table_select(t, i / 2, e[i]);
+    point_madd(p, t);
+  }
+  for (int k = 0; k < 4; ++k) point_double(p);
+  for (std::size_t i = 0; i < 64; i += 2) {
+    table_select(t, i / 2, e[i]);
+    point_madd(p, t);
+  }
 }
 
 /// Reduces a 512-bit little-endian integer mod L into r[0..31].
@@ -237,8 +366,13 @@ bool ed25519_verify(const Ed25519PublicKey& pk, ByteView message,
   Point p;
   point_scalarmult(p, q, k.data());
 
+  // [S]B = [S mod L]B because B has order L, so S >= L (even S >= 2^255)
+  // is accepted exactly as a bit-by-bit ladder over all 256 bits would.
+  std::uint8_t s[64] = {};
+  std::memcpy(s, sig.data() + 32, 32);
+  reduce(s);
   Point b;
-  point_scalarbase(b, sig.data() + 32);
+  point_scalarbase(b, s);
   point_add(p, b);
 
   std::uint8_t t[32];

@@ -6,8 +6,13 @@
 //    confidentiality, enabling image customization per the paper §V-A),
 //  - the SCBR key service signs authorization grants.
 //
-// Port of the public-domain TweetNaCl crypto_sign (detached form),
-// verified against RFC 8032 test vectors.
+// Detached signatures on the radix-2^51 field of field25519.hpp:
+// [s]B from a constant-time signed radix-16 base-point table, [k]A (in
+// verification) from a constant-time ladder with dedicated doubling.
+// Keys, signatures and every accept/reject decision equal those of
+// TweetNaCl's crypto_sign, which it replaced: verified against RFC 8032
+// vectors and, differentially, against a copy of TweetNaCl in
+// tests/curve25519_ref.hpp.
 #pragma once
 
 #include <array>

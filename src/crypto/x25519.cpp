@@ -16,9 +16,7 @@ X25519Key x25519(const X25519Key& scalar, const X25519Key& point) {
   f::Gf x;
   f::unpack(x, point.data());
 
-  f::Gf a{}, b = x, c{}, d{};
-  a[0] = 1;
-  d[0] = 1;
+  f::Gf a = f::kGf1, b = x, c = f::kGf0, d = f::kGf1;
 
   // Montgomery ladder: a constant sequence of field ops per scalar bit.
   for (int i = 254; i >= 0; --i) {
@@ -38,7 +36,7 @@ X25519Key x25519(const X25519Key& scalar, const X25519Key& point) {
     f::sub(a, a, c);
     f::square(b, a);
     f::sub(c, d, ff);
-    f::mul(a, c, f::k121665);
+    f::mul_small(a, c, 121665);
     f::add(a, a, d);
     f::mul(c, c, a);
     f::mul(a, d, ff);

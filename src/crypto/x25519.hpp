@@ -1,10 +1,12 @@
 // X25519 Diffie–Hellman (RFC 7748).
 //
 // Key agreement for: SCF delivery channels (enclave <-> configuration
-// service), SCBR key-exchange, and attested secure channels. The
-// implementation is a careful port of the public-domain TweetNaCl
-// curve25519 routines (Bernstein et al.), using 16 x 16-bit limbs in
-// 64-bit accumulators, with constant-time conditional swaps.
+// service), SCBR key-exchange, and attested secure channels. A
+// Montgomery ladder over the radix-2^51 field of field25519.hpp (5 limbs,
+// 128-bit products), with a constant-time conditional swap per scalar
+// bit and no branch or index on secret data. Outputs are byte-identical
+// to the TweetNaCl routines it replaced; tests/curve25519_diff_test.cpp
+// checks that against a copy of them.
 #pragma once
 
 #include <array>

@@ -201,7 +201,8 @@ void Fabric::admit_send(Ingress&& in) {
     push_event(EventItem{.at_ns = now_ns_,
                          .message_id = id,
                          .frag_index = 0,
-                         .frag_total = 1});
+                         .frag_total = 1,
+                         .timer = {}});
     return;
   }
 
@@ -272,7 +273,8 @@ void Fabric::admit_send(Ingress&& in) {
     push_event(EventItem{.at_ns = at,
                          .message_id = id,
                          .frag_index = i,
-                         .frag_total = frags});
+                         .frag_total = frags,
+                         .timer = {}});
     if (duplicate) {
       ++stats_.frames_duplicated;
       bump(obs_frames_duplicated_);
@@ -280,7 +282,8 @@ void Fabric::admit_send(Ingress&& in) {
       push_event(EventItem{.at_ns = at + cfg.latency_ns,
                            .message_id = id,
                            .frag_index = i,
-                           .frag_total = frags});
+                           .frag_total = frags,
+                           .timer = {}});
     }
   }
 

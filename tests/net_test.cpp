@@ -755,6 +755,34 @@ TEST(Flow, QuiesceStopsCountersAndNotifiesPeers) {
   EXPECT_TRUE(sender.health().ok());
 }
 
+TEST(Flow, PayloadCallbackMayAbandonItsOwnStream) {
+  SimClock clock;
+  net::Fabric fabric(clock);
+  const net::NodeId a = fabric.add_node("a");
+  const net::NodeId b = fabric.add_node("b");
+  ASSERT_TRUE(fabric.connect(a, b).ok());
+
+  const Bytes key(16, 0x5A);
+  bigdata::FlowNode sender(fabric, a, key);
+  bigdata::FlowNode receiver(fabric, b, key);
+  // The application learns from the payload that its peer is done and
+  // forgets the stream on_chunk is still delivering from.
+  std::vector<Bytes> got;
+  receiver.set_on_payload([&](net::NodeId from, Bytes p) {
+    got.push_back(std::move(p));
+    receiver.abandon_peer(from);
+  });
+  ASSERT_TRUE(sender.send(b, patterned(2000, 5)).ok());
+  fabric.run_until_idle();
+
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], patterned(2000, 5));
+  EXPECT_EQ(receiver.stats().payloads_delivered, 1u);
+  EXPECT_TRUE(receiver.health().ok());
+  EXPECT_TRUE(receiver.settled());
+  EXPECT_TRUE(fabric.idle());
+}
+
 TEST(Flow, BeaconThresholdDetectsSilentPeer) {
   SimClock clock;
   net::Fabric fabric(clock);

@@ -168,7 +168,9 @@ TEST(TelemetryCodec, ByteFlipsNeverCrash) {
       // flip in a length or count must be a typed error. Either way:
       // total function, no UB, no unbounded allocation.
       auto r = deserialize_telemetry_frame(mutated);
-      if (!r.ok()) EXPECT_FALSE(r.error().message.empty());
+      if (!r.ok()) {
+        EXPECT_FALSE(r.error().message.empty());
+      }
     }
   }
 }
