@@ -20,6 +20,15 @@ Bytes result_aad(std::size_t bundle) {
   put_u64(aad, bundle);
   return aad;
 }
+
+// A node's flight ring alone: what postmortem and alert pulls carry.
+obs::NodeSnapshot flight_only(const obs::NodeObs& node) {
+  obs::NodeSnapshot snap;
+  snap.node = node.node;
+  snap.flight = node.flight.events();
+  snap.flight_total = node.flight.total_recorded();
+  return snap;
+}
 }  // namespace
 
 DistributedMapReduce::DistributedMapReduce(net::Fabric& fabric,
@@ -29,6 +38,7 @@ DistributedMapReduce::DistributedMapReduce(net::Fabric& fabric,
 DistributedMapReduce::~DistributedMapReduce() = default;
 
 void DistributedMapReduce::set_obs(obs::Registry* registry, obs::Tracer* tracer) {
+  if (ready_) return;
   registry_ = registry;
   tracer_ = tracer;
   if (registry == nullptr) {
@@ -58,12 +68,6 @@ void DistributedMapReduce::set_obs(obs::Registry* registry, obs::Tracer* tracer)
     obs_telemetry_alerts_ =
         &registry->counter("dist_telemetry_alerts_total");
   }
-  for (auto& session : sessions_) session->set_obs(registry);
-  if (coordinator_flow_) coordinator_flow_->set_obs(registry);
-  for (auto& worker : workers_) {
-    if (worker->session) worker->session->set_obs(registry_for(*worker));
-    if (worker->flow) worker->flow->set_obs(registry_for(*worker));
-  }
 }
 
 void DistributedMapReduce::enable_cluster_obs() {
@@ -72,49 +76,34 @@ void DistributedMapReduce::enable_cluster_obs() {
 
 void DistributedMapReduce::note_coordinator_flight(const char* category,
                                                    const std::string& message) {
-  if (coordinator_obs_) coordinator_obs_->flight.record(category, message);
+  if (obs::NodeObs* node = coordinator_obs()) node->flight.record(category, message);
 }
 
 Result<obs::ClusterSnapshot> DistributedMapReduce::collect_cluster_snapshot() {
-  if (!cluster_obs_ || coordinator_obs_ == nullptr) {
+  if (!cluster_obs_ || coordinator_obs() == nullptr) {
     return Error::protocol("cluster obs mode was not enabled before setup()");
   }
+  return collect_snapshots(kObsSnapshotReq);
+}
+
+obs::ClusterSnapshot DistributedMapReduce::collect_snapshots(std::uint8_t request) {
   obs_replies_.clear();
   for (auto& worker : workers_) {
     if (!worker->alive) continue;  // dead hosts answer nothing
     Bytes req;
-    put_u8(req, kObsSnapshotReq);
-    SC_RETURN_IF_ERROR(
-        fabric_.send(coordinator_node_, worker->node, kObsChannel, std::move(req)));
-  }
-  fabric_.run_until_idle();
-  std::vector<obs::NodeSnapshot> nodes;
-  nodes.push_back(coordinator_obs_->snapshot());
-  for (auto& snap : obs_replies_) nodes.push_back(std::move(snap));
-  obs_replies_.clear();
-  return obs::merge_snapshots(std::move(nodes));
-}
-
-std::string DistributedMapReduce::collect_flight_postmortem() {
-  obs_replies_.clear();
-  for (auto& worker : workers_) {
-    if (!worker->alive) continue;
-    Bytes req;
-    put_u8(req, kObsFlightReq);
+    put_u8(req, request);
     // Best effort: a worker the fabric cannot reach is simply absent
-    // from the dump (its absence is itself a deterministic symptom).
+    // from the merge (its absence is itself a deterministic symptom).
     (void)fabric_.send(coordinator_node_, worker->node, kObsChannel, std::move(req));
   }
   fabric_.run_until_idle();
   std::vector<obs::NodeSnapshot> nodes;
-  obs::NodeSnapshot coordinator;
-  coordinator.node = coordinator_obs_->node;
-  coordinator.flight = coordinator_obs_->flight.events();
-  coordinator.flight_total = coordinator_obs_->flight.total_recorded();
-  nodes.push_back(std::move(coordinator));
+  const obs::NodeObs& coordinator = *coordinator_obs();
+  nodes.push_back(request == kObsSnapshotReq ? coordinator.snapshot()
+                                             : flight_only(coordinator));
   for (auto& snap : obs_replies_) nodes.push_back(std::move(snap));
   obs_replies_.clear();
-  return obs::merge_snapshots(std::move(nodes)).to_flight_json();
+  return obs::merge_snapshots(std::move(nodes));
 }
 
 void DistributedMapReduce::worker_on_obs_message(Worker& worker,
@@ -122,15 +111,14 @@ void DistributedMapReduce::worker_on_obs_message(Worker& worker,
   if (!worker.alive) return;
   ByteReader r(message.payload);
   std::uint8_t type = 0;
-  if (!r.get_u8(type) || !r.done() || worker.onode == nullptr) return;
+  const obs::NodeObs* node = obs_of(worker);
+  if (!r.get_u8(type) || !r.done() || node == nullptr) return;
   obs::NodeSnapshot snap;
   std::uint8_t reply_type = kObsReply;
   if (type == kObsSnapshotReq) {
-    snap = worker.onode->snapshot();
+    snap = node->snapshot();
   } else if (type == kObsFlightReq || type == kObsAlertPullReq) {
-    snap.node = worker.onode->node;
-    snap.flight = worker.onode->flight.events();
-    snap.flight_total = worker.onode->flight.total_recorded();
+    snap = flight_only(*node);
     if (type == kObsAlertPullReq) reply_type = kObsAlertReply;
   } else {
     return;
@@ -167,7 +155,8 @@ void DistributedMapReduce::coordinator_telemetry_tick() {
 
 void DistributedMapReduce::worker_telemetry_tick(Worker& worker) {
   if (!telemetry_active()) return;
-  if (!worker.alive || worker.sampler == nullptr || worker.flow == nullptr) return;
+  FlowNode* flow = flow_of(worker);
+  if (!worker.alive || worker.sampler == nullptr || flow == nullptr) return;
   if (worker.telemetry_frames >= config_.telemetry.max_frames_per_run) return;
   ++worker.telemetry_frames;
   const obs::TelemetryFrame frame =
@@ -175,7 +164,7 @@ void DistributedMapReduce::worker_telemetry_tick(Worker& worker) {
   Bytes wire;
   put_u8(wire, kTelemetry);
   put_blob(wire, obs::serialize_telemetry_frame(frame));
-  (void)worker.flow->send(worker.coordinator_node, wire);
+  (void)flow->send(worker.coordinator_node, wire);
   Worker* worker_ptr = &worker;
   fabric_.schedule(config_.telemetry.interval_ns,
                    [this, worker_ptr] { worker_telemetry_tick(*worker_ptr); });
@@ -190,7 +179,8 @@ void DistributedMapReduce::on_telemetry_alert(const obs::Alert& alert) {
   // node, over the raw obs channel (it works even when the data plane
   // is the thing that degraded).
   for (auto& worker : workers_) {
-    if (worker->onode == nullptr || worker->onode->node != alert.node) continue;
+    const obs::NodeObs* node = obs_of(*worker);
+    if (node == nullptr || node->node != alert.node) continue;
     if (!worker->alive) return;
     Bytes req;
     put_u8(req, kObsAlertPullReq);
@@ -199,12 +189,9 @@ void DistributedMapReduce::on_telemetry_alert(const obs::Alert& alert) {
     return;
   }
   // Alert on the coordinator itself: store its ring directly.
-  if (coordinator_obs_ && coordinator_obs_->node == alert.node) {
-    obs::NodeSnapshot snap;
-    snap.node = coordinator_obs_->node;
-    snap.flight = coordinator_obs_->flight.events();
-    snap.flight_total = coordinator_obs_->flight.total_recorded();
-    alert_postmortems_[snap.node] = std::move(snap);
+  const obs::NodeObs* coordinator = coordinator_obs();
+  if (coordinator != nullptr && coordinator->node == alert.node) {
+    alert_postmortems_[coordinator->node] = flight_only(*coordinator);
   }
 }
 
@@ -217,43 +204,44 @@ Status DistributedMapReduce::setup(sgx::AttestationService& service) {
     // Silent-death detection depends on the flow liveness machinery.
     config_.flow.beacon_death_threshold = config_.recovery.beacon_death_threshold;
   }
-  const net::AttestedSession::Config::RetryConfig session_retry{
-      .retransmit_timeout_ns =
-          config_.recovery.enabled ? config_.recovery.session_retransmit_timeout_ns
-                                   : 0,
-      .max_retries = config_.recovery.session_max_retries,
-  };
+  AttestedClusterConfig cluster;
+  cluster.retry = {
+      config_.recovery.enabled ? config_.recovery.session_retransmit_timeout_ns : 0,
+      config_.recovery.session_max_retries};
+  cluster.flow = config_.flow;
+  cluster.per_node_obs = cluster_obs_;
+  cluster.flight_capacity = config_.flight_capacity;
+  cluster.shared_registry = registry_;
+  cluster_ = std::make_unique<AttestedCluster>(fabric_, service, cluster);
 
   // --- topology: coordinator + workers, full mesh ------------------------
-  coordinator_node_ = fabric_.add_node("coordinator");
+  auto coordinator = cluster_->add_node("coordinator", "platform-coordinator",
+                                        config_.entropy_seed_base);
+  if (!coordinator.ok()) return coordinator.error();
+  coordinator_node_ = cluster_->node_id(0);
   for (std::size_t w = 0; w < config_.num_workers; ++w) {
+    auto member = cluster_->add_node("worker-" + std::to_string(w),
+                                     "platform-worker-" + std::to_string(w),
+                                     config_.entropy_seed_base + 1 + w);
+    if (!member.ok()) return member.error();
     auto worker = std::make_unique<Worker>();
     worker->index = w;
-    worker->node = fabric_.add_node("worker-" + std::to_string(w));
+    worker->node = cluster_->node_id(*member);
     workers_.push_back(std::move(worker));
   }
+  job_key_ = cluster_->platform(0).entropy().bytes(16);
   worker_alive_.assign(config_.num_workers, true);
   for (std::size_t w = 0; w < config_.num_workers; ++w) {
-    SC_RETURN_IF_ERROR(
-        fabric_.connect(coordinator_node_, workers_[w]->node, config_.link));
+    SC_RETURN_IF_ERROR(cluster_->connect(0, w + 1, config_.link));
     for (std::size_t v = w + 1; v < config_.num_workers; ++v) {
-      SC_RETURN_IF_ERROR(
-          fabric_.connect(workers_[w]->node, workers_[v]->node, config_.link));
+      SC_RETURN_IF_ERROR(cluster_->connect(w + 1, v + 1, config_.link));
     }
   }
 
   // --- per-node observability (cluster-obs mode) --------------------------
   if (cluster_obs_) {
-    coordinator_obs_ = std::make_unique<obs::NodeObs>(
-        "coordinator", fabric_.clock(),
-        static_cast<std::uint32_t>(coordinator_node_), config_.flight_capacity);
-    for (auto& worker : workers_) {
-      worker->onode = std::make_unique<obs::NodeObs>(
-          "worker-" + std::to_string(worker->index), fabric_.clock(),
-          static_cast<std::uint32_t>(worker->node), config_.flight_capacity);
-    }
     // Driver counters and the job span live on the coordinator node.
-    set_obs(&coordinator_obs_->registry, &coordinator_obs_->tracer);
+    set_obs(&coordinator_obs()->registry, &coordinator_obs()->tracer);
     // Obs collection plane: a raw fabric channel, deliberately independent
     // of sessions and flows so postmortems work after the data plane died.
     SC_RETURN_IF_ERROR(fabric_.set_handler(
@@ -306,147 +294,48 @@ Status DistributedMapReduce::setup(sgx::AttestationService& service) {
       }
       monitor_->set_on_alert(
           [this](const obs::Alert& alert) { on_telemetry_alert(alert); });
-      coordinator_sampler_ =
-          std::make_unique<obs::TelemetrySampler>(coordinator_obs_.get());
+      coordinator_sampler_ = std::make_unique<obs::TelemetrySampler>(coordinator_obs());
       for (auto& worker : workers_) {
-        worker->sampler =
-            std::make_unique<obs::TelemetrySampler>(worker->onode.get());
+        worker->sampler = std::make_unique<obs::TelemetrySampler>(obs_of(*worker));
         // Intern the progress counter now so every worker's first frame
         // carries it at zero: the straggler detector compares it across
         // nodes, and a node that never shipped the metric would be
         // invisible — exactly the node most worth watching.
-        (void)worker->onode->registry.counter("dist_worker_tasks_done_total");
+        (void)obs_of(*worker)->registry.counter("dist_worker_tasks_done_total");
       }
     }
   }
 
-  // --- platforms and enclaves --------------------------------------------
-  const sgx::EnclaveImage image = mapreduce_worker_image();
-  sgx::PlatformConfig coordinator_cfg;
-  coordinator_cfg.platform_id = "platform-coordinator";
-  coordinator_cfg.entropy_seed = config_.entropy_seed_base;
-  coordinator_platform_ = std::make_unique<sgx::Platform>(coordinator_cfg);
-  coordinator_platform_->provision(service);
-  if (coordinator_obs_) {
-    coordinator_platform_->memory().epc().set_flight(&coordinator_obs_->flight);
-    // Mirror EPC pressure into the node registry: the telemetry plane's
-    // epc-thrash detector and the sc-top EPC column read these.
-    coordinator_platform_->memory().epc().set_obs(&coordinator_obs_->registry);
-  }
-  auto coordinator_enclave = coordinator_platform_->create_enclave(image);
-  if (!coordinator_enclave.ok()) return coordinator_enclave.error();
-  coordinator_enclave_ = *coordinator_enclave;
-  job_key_ = coordinator_platform_->entropy().bytes(16);
-
-  for (auto& worker : workers_) {
-    sgx::PlatformConfig worker_cfg;
-    worker_cfg.platform_id = "platform-worker-" + std::to_string(worker->index);
-    worker_cfg.entropy_seed = config_.entropy_seed_base + 1 + worker->index;
-    worker->platform = std::make_unique<sgx::Platform>(worker_cfg);
-    worker->platform->provision(service);
-    if (worker->onode) {
-      worker->platform->memory().epc().set_flight(&worker->onode->flight);
-      worker->platform->memory().epc().set_obs(&worker->onode->registry);
-    }
-    auto enclave = worker->platform->create_enclave(image);
-    if (!enclave.ok()) return enclave.error();
-    worker->enclave = *enclave;
-  }
-
-  // --- attested sessions --------------------------------------------------
-  // One session per worker, all multiplexed on the coordinator's session
-  // channel; the dispatcher routes by source node. Each side pins the
-  // other's MRENCLAVE to the canonical worker image.
-  SC_RETURN_IF_ERROR(fabric_.set_handler(
-      coordinator_node_, kSessionChannel,
-      [this](const net::Message& m) { coordinator_dispatch(m); }));
-  const sgx::Measurement policy = coordinator_enclave_->mrenclave();
-
+  // --- attested star: the job key and layout released to each worker ----
+  // A session failing after setup (a recovery-time rekey that exhausts
+  // its retransmit budget) is a liveness signal for the peer.
   for (std::size_t w = 0; w < config_.num_workers; ++w) {
-    Worker& worker = *workers_[w];
-    worker.session = std::make_unique<net::AttestedSession>(
-        net::AttestedSession::Role::kResponder,
-        net::AttestedSession::Config{
-            .fabric = &fabric_,
-            .self = worker.node,
-            .peer = coordinator_node_,
-            .channel = kSessionChannel,
-            .enclave = worker.enclave,
-            .platform = worker.platform.get(),
-            .attestation = &service,
-            .expected_peer_mrenclave = policy,
-            .retry = session_retry,
-        });
-    SC_RETURN_IF_ERROR(worker.session->bind());
-    Worker* worker_ptr = &worker;
-    worker.session->set_on_record([this, worker_ptr](Bytes record) {
-      worker_on_record(*worker_ptr, std::move(record));
-    });
-    worker.session->set_obs(registry_for(worker));
-    if (worker.onode) worker.session->set_flight(&worker.onode->flight);
-
-    sessions_.push_back(std::make_unique<net::AttestedSession>(
-        net::AttestedSession::Role::kInitiator,
-        net::AttestedSession::Config{
-            .fabric = &fabric_,
-            .self = coordinator_node_,
-            .peer = worker.node,
-            .channel = kSessionChannel,
-            .enclave = coordinator_enclave_,
-            .platform = coordinator_platform_.get(),
-            .attestation = &service,
-            .expected_peer_mrenclave = policy,
-            .retry = session_retry,
-        }));
-    sessions_.back()->set_obs(registry_);
-    if (coordinator_obs_) sessions_.back()->set_flight(&coordinator_obs_->flight);
-    // A session that fails after setup (e.g. a recovery-time rekey that
-    // exhausts its retransmit budget) is a liveness signal for the peer.
-    sessions_.back()->set_on_failure([this, w](const Status&) {
+    Worker* worker = workers_[w].get();
+    SC_RETURN_IF_ERROR(cluster_->establish_edge(
+        0, w + 1, job_config_record(w),
+        [this, worker](Bytes record) { worker_on_record(*worker, std::move(record)); }));
+    cluster_->session(0, w + 1)->set_on_failure([this, w](const Status&) {
       if (ready_ && config_.recovery.enabled) handle_worker_death(w);
     });
-    SC_RETURN_IF_ERROR(establish_session(w));
   }
 
-  coordinator_flow_ =
-      std::make_unique<FlowNode>(fabric_, coordinator_node_, job_key_, config_.flow);
-  coordinator_flow_->set_on_payload([this](net::NodeId from, Bytes payload) {
+  FlowNode& flow = cluster_->attach_flow(0, job_key_);
+  flow.set_on_payload([this](net::NodeId from, Bytes payload) {
     coordinator_on_flow_payload(from, std::move(payload));
   });
-  coordinator_flow_->set_obs(registry_);
-  if (coordinator_obs_) coordinator_flow_->set_flight(&coordinator_obs_->flight);
   if (config_.recovery.enabled) {
     // The failure detector: a worker flow that sent kDead (dying host's
     // RST) or went silent past the beacon threshold is pronounced dead.
-    coordinator_flow_->set_on_peer_dead(
-        [this](net::NodeId node) { on_worker_node_dead(node); });
+    flow.set_on_peer_dead([this](net::NodeId node) { on_worker_node_dead(node); });
   }
 
   ready_ = true;
   return {};
 }
 
-Status DistributedMapReduce::establish_session(std::size_t w) {
-  net::AttestedSession& initiator = *sessions_[w];
-  net::AttestedSession& responder = *workers_[w]->session;
-  SC_RETURN_IF_ERROR(initiator.start());
-  fabric_.run_until_idle();
-  if (!initiator.established()) {
-    return initiator.failure().ok()
-               ? Error::unavailable("handshake with worker " + std::to_string(w) +
-                                    " did not complete")
-               : initiator.failure().error();
-  }
-  if (!responder.established()) {
-    return responder.failure().ok()
-               ? Error::unavailable("worker " + std::to_string(w) +
-                                    " did not finish the handshake")
-               : responder.failure().error();
-  }
-
-  // Key + layout release through the established channel. The record is
-  // the only place the job key crosses the (simulated) wire, and it is
-  // sealed by the session's AES-GCM channel.
+Bytes DistributedMapReduce::job_config_record(std::size_t w) const {
+  // The only place the job key crosses the (simulated) wire, sealed by
+  // the session's AES-GCM channel.
   Bytes record;
   put_blob(record, job_key_);
   put_u64(record, w);
@@ -456,22 +345,7 @@ Status DistributedMapReduce::establish_session(std::size_t w) {
   put_u64(record, coordinator_node_);
   put_u32(record, static_cast<std::uint32_t>(workers_.size()));
   for (const auto& peer : workers_) put_u64(record, peer->node);
-  SC_RETURN_IF_ERROR(initiator.send(record));
-  fabric_.run_until_idle();
-  if (!workers_[w]->configured) {
-    return Error::protocol("worker " + std::to_string(w) +
-                           " did not accept the job configuration");
-  }
-  return {};
-}
-
-void DistributedMapReduce::coordinator_dispatch(const net::Message& message) {
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (workers_[w]->node == message.src) {
-      sessions_[w]->on_message(message);
-      return;
-    }
-  }
+  return record;
 }
 
 void DistributedMapReduce::worker_on_record(Worker& worker, Bytes record) {
@@ -499,16 +373,12 @@ void DistributedMapReduce::worker_on_record(Worker& worker, Bytes record) {
     }
     worker.worker_nodes.push_back(static_cast<net::NodeId>(node));
   }
-  worker.flow =
-      std::make_unique<FlowNode>(fabric_, worker.node, worker.job_key, config_.flow);
   Worker* worker_ptr = &worker;
-  worker.flow->set_on_payload_ctx(
-      [this, worker_ptr](net::NodeId from, Bytes payload, obs::TraceContext ctx) {
-        worker_on_flow_payload(*worker_ptr, from, std::move(payload), ctx);
-      });
-  worker.flow->set_obs(registry_for(worker));
-  if (worker.onode) worker.flow->set_flight(&worker.onode->flight);
-  worker.configured = true;
+  cluster_->attach_flow(worker.index + 1, worker.job_key)
+      .set_on_payload_ctx(
+          [this, worker_ptr](net::NodeId from, Bytes payload, obs::TraceContext ctx) {
+            worker_on_flow_payload(*worker_ptr, from, std::move(payload), ctx);
+          });
 }
 
 void DistributedMapReduce::worker_fail(Worker& worker, Error error) {
@@ -523,7 +393,7 @@ void DistributedMapReduce::worker_fail(Worker& worker, Error error) {
                        "worker " + std::to_string(worker.index) + ": " + error.message};
   }
   worker.alive = false;
-  if (worker.flow) worker.flow->quiesce();
+  if (FlowNode* flow = flow_of(worker)) flow->quiesce();
 }
 
 void DistributedMapReduce::worker_on_flow_payload(Worker& worker, net::NodeId from,
@@ -620,15 +490,16 @@ void DistributedMapReduce::worker_handle_map_task(Worker& worker,
   MapExec& exec = worker.map_execs[task];
   // Task timeline in the node's flight ring — what an alert-triggered
   // postmortem pull shows: which tasks this node accepted and when.
-  if (worker.onode) {
-    worker.onode->flight.record(
+  if (obs::NodeObs* node = obs_of(worker)) {
+    node->flight.record(
         "map_task_start", "epoch=" + std::to_string(epoch) +
                               " task=" + std::to_string(task) +
                               " records=" + std::to_string(records.size()));
   }
 
   // Entering the mapper enclave on this worker's platform.
-  worker.platform->clock().advance_cycles(worker.platform->cost().ecall_cycles);
+  sgx::Platform& platform = cluster_->platform(worker.index + 1);
+  platform.clock().advance_cycles(platform.cost().ecall_cycles);
 
   // Per-record decrypt + map with pre-assigned output slots; bucketing
   // runs serially afterwards, so thread count cannot perturb pair order.
@@ -682,15 +553,15 @@ void DistributedMapReduce::worker_handle_map_task(Worker& worker,
   // coordinator's job span via the adopted chunk-header context; the
   // deferred finish event closes it after the modeled compute delay (or
   // at cancellation, if a speculative copy superseded this execution).
-  if (worker.onode) {
+  if (obs::NodeObs* node = obs_of(worker)) {
     exec.span = std::make_unique<obs::Span>(
-        &worker.onode->tracer, "dist_mapreduce.map_task", worker.job_ctx);
+        &node->tracer, "dist_mapreduce.map_task", worker.job_ctx);
     exec.span->set_attribute("worker", std::to_string(worker.index));
     exec.span->set_attribute("task", std::to_string(task));
     exec.span->set_attribute("records", std::to_string(records.size()));
-    worker.onode->registry.counter("dist_worker_map_records_total")
+    node->registry.counter("dist_worker_map_records_total")
         .inc(records.size());
-    worker.onode->registry.counter("dist_worker_map_pairs_total").inc(pair_count);
+    node->registry.counter("dist_worker_map_pairs_total").inc(pair_count);
   }
 
   exec.pending_output = std::move(per_reducer);
@@ -723,9 +594,9 @@ void DistributedMapReduce::worker_finish_map_task(Worker& worker,
   // Progress signal for the straggler-drift detector: bumps at map
   // *finish* (after the skew-scaled compute delay), so a slowed node's
   // counter visibly lags the cluster while the job is in flight.
-  if (worker.onode) {
-    worker.onode->registry.counter("dist_worker_tasks_done_total").inc();
-    worker.onode->flight.record("map_task_done",
+  if (obs::NodeObs* node = obs_of(worker)) {
+    node->registry.counter("dist_worker_tasks_done_total").inc();
+    node->flight.record("map_task_done",
                                 "epoch=" + std::to_string(epoch) +
                                     " task=" + std::to_string(task));
   }
@@ -768,7 +639,7 @@ void DistributedMapReduce::worker_finish_map_task(Worker& worker,
   put_u64(done, exec.pairs);
   put_u64(done, shuffle_bytes);
   put_u64(done, 1);  // enclave transitions for the map task
-  (void)worker.flow->send(worker.coordinator_node, done, ctx);
+  (void)flow_of(worker)->send(worker.coordinator_node, done, ctx);
 
   if (exec.span) {
     exec.span->set_attribute("shuffle_bytes", std::to_string(shuffle_bytes));
@@ -803,7 +674,7 @@ void DistributedMapReduce::worker_send_block(Worker& worker, std::uint64_t epoch
   put_u64(wire, task);
   put_u64(wire, reducer);
   put_blob(wire, p.block);
-  (void)worker.flow->send(dest, wire, ctx);
+  (void)flow_of(worker)->send(dest, wire, ctx);
 }
 
 void DistributedMapReduce::worker_maybe_reduce(Worker& worker,
@@ -826,7 +697,8 @@ void DistributedMapReduce::worker_maybe_reduce(Worker& worker,
   exec.reduced = true;
 
   // Entering the reducer enclave.
-  worker.platform->clock().advance_cycles(worker.platform->cost().ecall_cycles);
+  sgx::Platform& platform = cluster_->platform(worker.index + 1);
+  platform.clock().advance_cycles(platform.cost().ecall_cycles);
 
   const ReduceFn& reduce_fn = *current_reduce_fn_;
   crypto::AesGcm gcm(worker.job_key);
@@ -867,13 +739,13 @@ void DistributedMapReduce::worker_maybe_reduce(Worker& worker,
   // Reduce span: opens when the last shuffle block arrived (now, in
   // fabric time), parented to the job span; the deferred finish closes
   // it after the modeled reduce compute and ships the sealed result.
-  if (worker.onode) {
+  if (obs::NodeObs* node = obs_of(worker)) {
     exec.span = std::make_unique<obs::Span>(
-        &worker.onode->tracer, "dist_mapreduce.reduce_task", worker.job_ctx);
+        &node->tracer, "dist_mapreduce.reduce_task", worker.job_ctx);
     exec.span->set_attribute("worker", std::to_string(worker.index));
     exec.span->set_attribute("bundle", std::to_string(bundle));
     exec.span->set_attribute("pairs", std::to_string(pairs_consumed));
-    worker.onode->registry.counter("dist_worker_reduce_pairs_total")
+    node->registry.counter("dist_worker_reduce_pairs_total")
         .inc(pairs_consumed);
   }
 
@@ -909,7 +781,7 @@ void DistributedMapReduce::worker_finish_reduce(Worker& worker,
   }
   obs::TraceContext ctx;
   if (it->second.span) ctx = it->second.span->context();
-  (void)worker.flow->send(worker.coordinator_node, it->second.pending_result_wire,
+  (void)flow_of(worker)->send(worker.coordinator_node, it->second.pending_result_wire,
                           ctx);
   it->second.pending_result_wire.clear();
   it->second.span.reset();  // close at the post-compute fabric timestamp
@@ -970,7 +842,7 @@ void DistributedMapReduce::worker_apply_assignment(Worker& worker,
 
   // Stop all recovery traffic toward the dead nodes.
   for (net::NodeId d : dead) {
-    if (worker.flow) worker.flow->abandon_peer(d);
+    if (FlowNode* flow = flow_of(worker)) flow->abandon_peer(d);
   }
 
   worker.bundle_owner_node = owners;
@@ -1184,7 +1056,7 @@ void DistributedMapReduce::send_map_task(std::size_t executor,
   put_u32(wire, static_cast<std::uint32_t>(task_records_[task].size()));
   for (const Bytes& record : task_records_[task]) put_blob(wire, record);
   bump(obs_map_tasks_);
-  (void)coordinator_flow_->send(workers_[executor]->node, wire, run_ctx_);
+  (void)coordinator_flow().send(workers_[executor]->node, wire, run_ctx_);
 }
 
 void DistributedMapReduce::broadcast_assignment(
@@ -1209,7 +1081,7 @@ void DistributedMapReduce::broadcast_assignment(
   }
   for (std::size_t w = 0; w < config_.num_workers; ++w) {
     if (!worker_alive_[w]) continue;
-    (void)coordinator_flow_->send(workers_[w]->node, wire, run_ctx_);
+    (void)coordinator_flow().send(workers_[w]->node, wire, run_ctx_);
   }
 }
 
@@ -1229,7 +1101,7 @@ void DistributedMapReduce::handle_worker_death(std::size_t w) {
   worker_alive_[w] = false;
   bump(obs_worker_deaths_);
   note_coordinator_flight("worker_dead", "worker=" + std::to_string(w));
-  coordinator_flow_->abandon_peer(workers_[w]->node);
+  coordinator_flow().abandon_peer(workers_[w]->node);
   if (alive_count() == 0) {
     if (!job_error_) {
       job_error_ = Error::unavailable("all workers dead; job cannot complete");
@@ -1289,7 +1161,7 @@ void DistributedMapReduce::handle_worker_death(std::size_t w) {
   // for that peer via on_failure.
   if (config_.recovery.rekey_on_recovery) {
     for (std::size_t v = 0; v < config_.num_workers; ++v) {
-      if (worker_alive_[v]) (void)sessions_[v]->rehandshake();
+      if (worker_alive_[v]) (void)cluster_->session(0, v + 1)->rehandshake();
     }
   }
 }
@@ -1354,7 +1226,7 @@ Status DistributedMapReduce::kill_worker(std::size_t w) {
   Worker& worker = *workers_[w];
   if (!worker.alive) return {};
   worker.alive = false;
-  if (worker.flow) worker.flow->quiesce();
+  if (FlowNode* flow = flow_of(worker)) flow->quiesce();
   return {};
 }
 
@@ -1389,7 +1261,9 @@ Result<JobResult> DistributedMapReduce::run(
     bump(obs_job_failures_);
     // Typed failure: capture every reachable node's flight-recorder ring
     // alongside the error (the deterministic postmortem).
-    if (cluster_obs_ && coordinator_obs_) postmortem_ = collect_flight_postmortem();
+    if (cluster_obs_ && coordinator_obs() != nullptr) {
+      postmortem_ = collect_snapshots(kObsFlightReq).to_flight_json();
+    }
     return error;
   };
 
@@ -1519,7 +1393,7 @@ Result<JobResult> DistributedMapReduce::run(
         Bytes ping;
         put_u8(ping, kPing);
         put_u64(ping, epoch_);
-        if (coordinator_flow_->send(workers_[w]->node, ping, run_ctx_).ok()) {
+        if (coordinator_flow().send(workers_[w]->node, ping, run_ctx_).ok()) {
           probed = true;
         }
       }
@@ -1539,10 +1413,10 @@ Result<JobResult> DistributedMapReduce::run(
   if (results_seen_.size() < W) {
     // Surface the typed transport failure when one exists (abandoned
     // gap -> kUnavailable), else a generic incompleteness error.
-    if (Status h = coordinator_flow_->health(); !h.ok()) return fail(h.error());
+    if (Status h = coordinator_flow().health(); !h.ok()) return fail(h.error());
     for (const auto& worker : workers_) {
-      if (worker->alive && worker->flow) {
-        if (Status h = worker->flow->health(); !h.ok()) return fail(h.error());
+      if (FlowNode* flow = flow_of(*worker); worker->alive && flow != nullptr) {
+        if (Status h = flow->health(); !h.ok()) return fail(h.error());
       }
     }
     return fail(Error::unavailable(

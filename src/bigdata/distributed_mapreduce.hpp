@@ -8,14 +8,10 @@
 // time.
 //
 // Lifecycle:
-//   setup(service)  — builds the topology (full mesh), provisions every
-//                     platform with the attestation service, runs an
-//                     AttestedSession handshake coordinator->worker
-//                     (mutual quotes bound to the channel transcript,
-//                     MRENCLAVE pinned to the canonical worker image),
-//                     then releases the job key and the job layout
-//                     through each established session. Untrusted wire
-//                     never sees the key.
+//   setup(service)  — the attested-cluster bring-up over a full mesh
+//                     (attested_cluster.hpp): a pinned session from the
+//                     coordinator releases the job key and layout to
+//                     each worker. Untrusted wire never sees the key.
 //   run(...)        — ships map tasks over reliable encrypted flows
 //                     (FlowNode: chunking + NACK recovery, so armed
 //                     loss/reorder/partition faults are survivable),
@@ -56,10 +52,9 @@
 #include <memory>
 #include <set>
 
-#include "bigdata/flow.hpp"
+#include "bigdata/attested_cluster.hpp"
 #include "bigdata/mapreduce.hpp"
 #include "genpack/scheduler.hpp"
-#include "net/session.hpp"
 #include "obs/cluster.hpp"
 #include "obs/telemetry.hpp"
 
@@ -197,7 +192,8 @@ class DistributedMapReduce {
   bool worker_alive(std::size_t w) const { return worker_alive_[w]; }
 
   /// `dist_mapreduce_*` counters + a dist_mapreduce.job span per run.
-  /// Also wires the underlying sessions and flows into `registry`.
+  /// Also wires the underlying sessions and flows into `registry`. Call
+  /// before setup(); a no-op afterwards.
   void set_obs(obs::Registry* registry, obs::Tracer* tracer = nullptr);
 
   /// Per-node observability mode: every node gets its own Registry /
@@ -209,8 +205,10 @@ class DistributedMapReduce {
   /// carried in flow chunk headers.
   void enable_cluster_obs();
   bool cluster_obs_enabled() const { return cluster_obs_; }
-  obs::NodeObs* coordinator_obs() { return coordinator_obs_.get(); }
-  obs::NodeObs* worker_obs(std::size_t w) { return workers_[w]->onode.get(); }
+  obs::NodeObs* coordinator_obs() { return cluster_ ? cluster_->obs(0) : nullptr; }
+  obs::NodeObs* worker_obs(std::size_t w) {
+    return cluster_ ? cluster_->obs(w + 1) : nullptr;
+  }
 
   /// Collects every worker's NodeSnapshot over the fabric (obs channel
   /// request/reply), adds the coordinator's local snapshot, and merges
@@ -245,7 +243,6 @@ class DistributedMapReduce {
   std::size_t num_workers() const { return config_.num_workers; }
 
  private:
-  static constexpr std::uint32_t kSessionChannel = 1;
   // Flow payload types (first byte of every flow payload).
   static constexpr std::uint8_t kMapTask = 1;
   static constexpr std::uint8_t kShuffle = 2;
@@ -304,10 +301,6 @@ class DistributedMapReduce {
     std::size_t index = 0;
     net::NodeId node = 0;
     bool alive = true;
-    std::unique_ptr<sgx::Platform> platform;
-    sgx::Enclave* enclave = nullptr;
-    std::unique_ptr<net::AttestedSession> session;  // responder end
-    std::unique_ptr<FlowNode> flow;
 
     // Job layout, released through the attested session.
     Bytes job_key;
@@ -316,7 +309,6 @@ class DistributedMapReduce {
     bool combiner = false;
     net::NodeId coordinator_node = 0;
     std::vector<net::NodeId> worker_nodes;
-    bool configured = false;
 
     // Per-job (epoch) state, keyed by logical task / bundle ids.
     std::uint64_t epoch = 0;
@@ -331,8 +323,6 @@ class DistributedMapReduce {
     /// identity assignment bundle b -> worker_nodes[b]).
     std::vector<net::NodeId> bundle_owner_node;
 
-    /// Cluster-obs mode: this node's registry/tracer/flight bundle.
-    std::unique_ptr<obs::NodeObs> onode;
     /// Trace context of the coordinator's job span, adopted from the
     /// kMapTask chunk header; parents this worker's spans.
     obs::TraceContext job_ctx;
@@ -341,9 +331,8 @@ class DistributedMapReduce {
     std::size_t telemetry_frames = 0;
   };
 
-  DistributedMapReduce* self() { return this; }
-  Status establish_session(std::size_t w);
-  void coordinator_dispatch(const net::Message& message);
+  /// The job configuration released to worker `w` over its session.
+  Bytes job_config_record(std::size_t w) const;
   void worker_on_record(Worker& worker, Bytes record);
   void worker_begin_epoch(Worker& worker, std::uint64_t epoch);
   void worker_on_flow_payload(Worker& worker, net::NodeId from, Bytes payload,
@@ -364,7 +353,9 @@ class DistributedMapReduce {
   void worker_fail(Worker& worker, Error error);
   void coordinator_on_flow_payload(net::NodeId from, Bytes payload);
   void worker_on_obs_message(Worker& worker, const net::Message& message);
-  std::string collect_flight_postmortem();
+  /// Merges the coordinator's full (kObsSnapshotReq) or flight-only
+  /// snapshot with the replies of every live worker to `request`.
+  obs::ClusterSnapshot collect_snapshots(std::uint8_t request);
 
   // --- telemetry plane ---
   /// False once the job completed or failed: ticks stop re-arming so
@@ -392,9 +383,10 @@ class DistributedMapReduce {
   genpack::ContainerSpec bundle_spec(std::uint64_t bundle) const;
   void note_coordinator_flight(const char* category, const std::string& message);
 
-  obs::Registry* registry_for(const Worker& worker) {
-    return worker.onode ? &worker.onode->registry : registry_;
-  }
+  // Cluster members: the coordinator is 0, worker w is w + 1.
+  FlowNode& coordinator_flow() { return *cluster_->flow(0); }
+  FlowNode* flow_of(const Worker& worker) { return cluster_->flow(worker.index + 1); }
+  obs::NodeObs* obs_of(const Worker& worker) { return cluster_->obs(worker.index + 1); }
   void bump(obs::Counter* counter, std::uint64_t delta = 1) {
     if (counter != nullptr) counter->inc(delta);
   }
@@ -405,10 +397,9 @@ class DistributedMapReduce {
 
   bool ready_ = false;
   net::NodeId coordinator_node_ = 0;
-  std::unique_ptr<sgx::Platform> coordinator_platform_;
-  sgx::Enclave* coordinator_enclave_ = nullptr;
-  std::vector<std::unique_ptr<net::AttestedSession>> sessions_;  // initiator ends
-  std::unique_ptr<FlowNode> coordinator_flow_;
+  /// Declared before the worker job state and job_span_: the tracers
+  /// their open spans end on live in its NodeObs.
+  std::unique_ptr<AttestedCluster> cluster_;
   std::vector<std::unique_ptr<Worker>> workers_;
   Bytes job_key_;
   std::uint64_t record_counter_ = 0;
@@ -450,7 +441,6 @@ class DistributedMapReduce {
   std::vector<PendingKill> pending_kills_;
 
   bool cluster_obs_ = false;
-  std::unique_ptr<obs::NodeObs> coordinator_obs_;
   /// Snapshot replies collected during collect_cluster_snapshot() /
   /// postmortem collection (delivery order; merge re-sorts by name).
   std::vector<obs::NodeSnapshot> obs_replies_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "bigdata/mapreduce.hpp"
-
 namespace securecloud::scbr {
 
 namespace {
@@ -86,51 +84,27 @@ void FabricOverlay::wire_counters(Broker& broker, obs::Registry* registry) {
 Status FabricOverlay::setup(sgx::AttestationService& service) {
   if (ready_) return Error::protocol("overlay already set up");
   SC_RETURN_IF_ERROR(topology_);
+  cluster_ = std::make_unique<bigdata::AttestedCluster>(
+      fabric_, service, bigdata::cluster_config(config_, shared_registry_));
 
-  // --- brokers: fabric nodes, links, observability -----------------------
+  // --- brokers: attested nodes, links, counters --------------------------
+  // Brokers attest as the canonical worker image — pub/sub matching runs
+  // inside the same measured enclave the MapReduce plane ships.
   for (BrokerId i = 0; i < config_.broker_count; ++i) {
+    auto index = cluster_->add_node("broker-" + std::to_string(i),
+                                    "platform-broker-" + std::to_string(i),
+                                    config_.entropy_seed_base + i);
+    if (!index.ok()) return index.error();
     auto broker = std::make_unique<Broker>();
     broker->index = i;
-    broker->node = fabric_.add_node("broker-" + std::to_string(i));
-    node_to_broker_[broker->node] = i;
+    node_to_broker_[cluster_->node_id(i)] = i;
+    wire_counters(*broker, cluster_->registry(i));
     brokers_.push_back(std::move(broker));
   }
   for (const auto& [a, b] : config_.links) {
     brokers_[a]->neighbours.push_back(b);
     brokers_[b]->neighbours.push_back(a);
-    SC_RETURN_IF_ERROR(
-        fabric_.connect(brokers_[a]->node, brokers_[b]->node, config_.link));
-  }
-  for (auto& broker : brokers_) {
-    if (shared_registry_ == nullptr) {
-      broker->onode = std::make_unique<obs::NodeObs>(
-          "broker-" + std::to_string(broker->index), fabric_.clock(),
-          static_cast<std::uint32_t>(broker->node), config_.flight_capacity);
-      wire_counters(*broker, &broker->onode->registry);
-    } else {
-      wire_counters(*broker, shared_registry_);
-    }
-  }
-
-  // --- platforms and enclaves --------------------------------------------
-  // Brokers attest as the canonical worker image — pub/sub matching runs
-  // inside the same measured enclave the MapReduce plane ships.
-  const sgx::EnclaveImage image = bigdata::mapreduce_worker_image();
-  for (auto& broker : brokers_) {
-    sgx::PlatformConfig cfg;
-    cfg.platform_id = "platform-broker-" + std::to_string(broker->index);
-    cfg.entropy_seed = config_.entropy_seed_base + broker->index;
-    broker->platform = std::make_unique<sgx::Platform>(cfg);
-    broker->platform->provision(service);
-    if (broker->onode) {
-      broker->platform->memory().epc().set_flight(&broker->onode->flight);
-    }
-    auto enclave = broker->platform->create_enclave(image);
-    if (!enclave.ok()) return enclave.error();
-    broker->enclave = *enclave;
-    broker->demux = std::make_unique<net::SessionDemux>(fabric_, broker->node,
-                                                        kSessionChannel);
-    SC_RETURN_IF_ERROR(broker->demux->bind());
+    SC_RETURN_IF_ERROR(cluster_->connect(a, b, config_.link));
   }
 
   // --- key dissemination down the tree -----------------------------------
@@ -139,9 +113,13 @@ Status FabricOverlay::setup(sgx::AttestationService& service) {
   // sealed session — so a parent always holds the key before any of its
   // children's edges are established, and no broker joins the data plane
   // without proving the pinned MRENCLAVE.
-  const sgx::Measurement policy = brokers_[0]->enclave->mrenclave();
-  brokers_[0]->overlay_key = brokers_[0]->platform->entropy().bytes(16);
-  attach_flow(*brokers_[0]);
+  const auto join = [this](std::size_t i, bigdata::FlowNode& flow) {
+    Broker* broker = brokers_[i].get();
+    flow.set_on_payload([this, broker](net::NodeId from, Bytes payload) {
+      on_flow_payload(*broker, from, std::move(payload));
+    });
+  };
+  const Bytes key = cluster_->mint_key(0, join);
 
   std::vector<bool> visited(brokers_.size(), false);
   visited[0] = true;
@@ -152,7 +130,7 @@ Status FabricOverlay::setup(sgx::AttestationService& service) {
     for (const BrokerId next : brokers_[at]->neighbours) {
       if (visited[next]) continue;
       visited[next] = true;
-      SC_RETURN_IF_ERROR(establish_edge(service, at, next, policy));
+      SC_RETURN_IF_ERROR(cluster_->establish_key_edge(at, next, key, join));
       frontier.push_back(next);
     }
   }
@@ -161,107 +139,10 @@ Status FabricOverlay::setup(sgx::AttestationService& service) {
   return {};
 }
 
-Status FabricOverlay::establish_edge(sgx::AttestationService& service,
-                                     BrokerId parent, BrokerId child,
-                                     const sgx::Measurement& policy) {
-  Broker& up = *brokers_[parent];
-  Broker& down = *brokers_[child];
-  const net::AttestedSession::Config::RetryConfig retry{
-      .retransmit_timeout_ns = config_.session_retransmit_timeout_ns,
-      .max_retries = config_.session_max_retries,
-  };
-
-  auto responder = std::make_unique<net::AttestedSession>(
-      net::AttestedSession::Role::kResponder,
-      net::AttestedSession::Config{
-          .fabric = &fabric_,
-          .self = down.node,
-          .peer = up.node,
-          .channel = kSessionChannel,
-          .enclave = down.enclave,
-          .platform = down.platform.get(),
-          .attestation = &service,
-          .expected_peer_mrenclave = policy,
-          .retry = retry,
-      });
-  Broker* down_ptr = &down;
-  responder->set_on_record([this, down_ptr](Bytes record) {
-    on_key_record(*down_ptr, std::move(record));
-  });
-  responder->set_obs(down.onode ? &down.onode->registry : shared_registry_);
-  if (down.onode) responder->set_flight(&down.onode->flight);
-  down.demux->add(up.node, responder.get());
-
-  auto initiator = std::make_unique<net::AttestedSession>(
-      net::AttestedSession::Role::kInitiator,
-      net::AttestedSession::Config{
-          .fabric = &fabric_,
-          .self = up.node,
-          .peer = down.node,
-          .channel = kSessionChannel,
-          .enclave = up.enclave,
-          .platform = up.platform.get(),
-          .attestation = &service,
-          .expected_peer_mrenclave = policy,
-          .retry = retry,
-      });
-  initiator->set_obs(up.onode ? &up.onode->registry : shared_registry_);
-  if (up.onode) initiator->set_flight(&up.onode->flight);
-  up.demux->add(down.node, initiator.get());
-
-  SC_RETURN_IF_ERROR(initiator->start());
-  fabric_.run_until_idle();
-  if (!initiator->established()) {
-    return initiator->failure().ok()
-               ? Error::unavailable("handshake with broker " +
-                                    std::to_string(child) + " did not complete")
-               : initiator->failure().error();
-  }
-  if (!responder->established()) {
-    return responder->failure().ok()
-               ? Error::unavailable("broker " + std::to_string(child) +
-                                    " did not finish the handshake")
-               : responder->failure().error();
-  }
-
-  // The only place the overlay key crosses the wire: one sealed record.
-  Bytes record;
-  put_blob(record, up.overlay_key);
-  SC_RETURN_IF_ERROR(initiator->send(record));
-  fabric_.run_until_idle();
-  if (down.overlay_key.empty()) {
-    return Error::protocol("broker " + std::to_string(child) +
-                           " did not accept the overlay key");
-  }
-  up.sessions[child] = std::move(initiator);
-  down.sessions[parent] = std::move(responder);
-  return {};
-}
-
-void FabricOverlay::on_key_record(Broker& broker, Bytes record) {
-  ByteReader r(record);
-  Bytes key;
-  if (!r.get_blob(key) || !r.done() || key.empty()) return;
-  broker.overlay_key = std::move(key);
-  attach_flow(broker);
-}
-
-void FabricOverlay::attach_flow(Broker& broker) {
-  broker.flow = std::make_unique<bigdata::FlowNode>(fabric_, broker.node,
-                                                    broker.overlay_key,
-                                                    config_.flow);
-  Broker* ptr = &broker;
-  broker.flow->set_on_payload([this, ptr](net::NodeId from, Bytes payload) {
-    on_flow_payload(*ptr, from, std::move(payload));
-  });
-  broker.flow->set_obs(broker.onode ? &broker.onode->registry : shared_registry_);
-  if (broker.onode) broker.flow->set_flight(&broker.onode->flight);
-}
-
 void FabricOverlay::send_payload(Broker& broker, BrokerId to, Bytes payload) {
   // Delivery failures (dead stream past the NACK budget) surface through
   // health(); routing does not retry above the flow layer.
-  (void)broker.flow->send(brokers_[to]->node, payload);
+  (void)cluster_->flow(broker.index)->send(cluster_->node_id(to), payload);
 }
 
 void FabricOverlay::on_flow_payload(Broker& broker, net::NodeId from_node,
@@ -537,22 +418,6 @@ Result<std::vector<std::uint64_t>> FabricOverlay::publish_batch(
   return ids;
 }
 
-Status FabricOverlay::health() const {
-  for (const auto& broker : brokers_) {
-    if (broker->flow) SC_RETURN_IF_ERROR(broker->flow->health());
-    for (const auto& [peer, session] : broker->sessions) {
-      if (!session->established()) {
-        return session->failure().ok()
-                   ? Error::unavailable("session broker " +
-                                        std::to_string(broker->index) + " <-> " +
-                                        std::to_string(peer) + " not established")
-                   : session->failure().error();
-      }
-    }
-  }
-  return {};
-}
-
 std::size_t FabricOverlay::remote_entries(BrokerId broker) const {
   if (broker >= brokers_.size()) return 0;
   std::size_t n = 0;
@@ -580,22 +445,12 @@ std::size_t FabricOverlay::shard_count(BrokerId broker) const {
   return n;
 }
 
-Result<obs::ClusterSnapshot> FabricOverlay::cluster_snapshot() const {
-  if (shared_registry_ != nullptr) {
-    return Error::protocol("overlay is in shared-registry mode");
-  }
-  if (!ready_) return Error::protocol("overlay not set up");
-  std::vector<obs::NodeSnapshot> nodes;
-  for (const auto& broker : brokers_) nodes.push_back(broker->onode->snapshot());
-  return obs::merge_snapshots(std::move(nodes));
-}
-
 obs::NodeObs* FabricOverlay::broker_obs(BrokerId broker) {
-  return broker < brokers_.size() ? brokers_[broker]->onode.get() : nullptr;
+  return broker < brokers_.size() ? cluster_->obs(broker) : nullptr;
 }
 
 net::NodeId FabricOverlay::broker_node(BrokerId broker) const {
-  return broker < brokers_.size() ? brokers_[broker]->node : 0;
+  return broker < brokers_.size() ? cluster_->node_id(broker) : 0;
 }
 
 }  // namespace securecloud::scbr

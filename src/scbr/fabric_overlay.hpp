@@ -5,10 +5,10 @@
 // broker is a fabric node with its own sgx::Platform and enclave, each
 // overlay edge carries an AttestedSession pair (mutual quotes bound to
 // the channel transcript, MRENCLAVE pinned), the overlay key is released
-// root-down through those sessions, and all subscription/retraction/
-// publication traffic rides FlowNode — chunked, AES-GCM sealed per
-// chunk, NACK-recovered — so armed loss/reorder faults are survivable
-// without protocol-level retries.
+// root-down through those sessions (bigdata/attested_cluster.hpp), and
+// all subscription/retraction/publication traffic rides FlowNode —
+// chunked, AES-GCM sealed per chunk, NACK-recovered — so armed
+// loss/reorder faults are survivable without protocol-level retries.
 //
 // Distribution changes one thing structurally: a broker can no longer
 // probe its neighbour's routing table for the covering-suppression
@@ -44,9 +44,8 @@
 #include <memory>
 #include <set>
 
-#include "bigdata/flow.hpp"
+#include "bigdata/attested_cluster.hpp"
 #include "common/thread_pool.hpp"
-#include "net/session_demux.hpp"
 #include "obs/cluster.hpp"
 #include "scbr/overlay.hpp"
 
@@ -87,10 +86,8 @@ class FabricOverlay {
   FabricOverlay& operator=(const FabricOverlay&) = delete;
   ~FabricOverlay();
 
-  /// Builds the broker tree: fabric nodes + links, per-broker platforms
-  /// and enclaves, an attested session pair per edge (established
-  /// breadth-first from broker 0), the overlay key released through each
-  /// session, and a FlowNode per broker keyed by it.
+  /// Brings the brokers up as an attested cluster, edges walked
+  /// breadth-first from broker 0, releasing the overlay key over each.
   Status setup(sgx::AttestationService& service);
 
   /// Shared-registry mode: call before setup() to wire every broker's
@@ -123,9 +120,9 @@ class FabricOverlay {
     return deliveries_;
   }
 
-  /// First failure across broker flows (abandoned gap, dead stream), ok
-  /// when the data plane is healthy.
-  Status health() const;
+  /// First failure across broker flows (abandoned gap, dead stream) and
+  /// sessions; ok when the data plane is healthy.
+  Status health() const { return cluster_ ? cluster_->health() : Status{}; }
 
   /// Routing-table sizes: remote filter entries broker `b` learned
   /// (recv tables) / advertised (sent tables) across its links.
@@ -137,7 +134,10 @@ class FabricOverlay {
 
   /// Merged per-broker observability (securecloud.obs.v2 etc.). Error in
   /// shared-registry mode.
-  Result<obs::ClusterSnapshot> cluster_snapshot() const;
+  Result<obs::ClusterSnapshot> cluster_snapshot() const {
+    if (!ready_) return Error::protocol("overlay not set up");
+    return cluster_->snapshot();
+  }
   obs::NodeObs* broker_obs(BrokerId broker);
 
   net::NodeId broker_node(BrokerId broker) const;
@@ -145,7 +145,6 @@ class FabricOverlay {
   const Status& topology() const { return topology_; }
 
  private:
-  static constexpr std::uint32_t kSessionChannel = 1;
   // Flow payload types (first byte of every flow payload).
   static constexpr std::uint8_t kSubscribe = 1;
   static constexpr std::uint8_t kRetract = 2;
@@ -154,22 +153,12 @@ class FabricOverlay {
 
   struct Broker {
     BrokerId index = 0;
-    net::NodeId node = 0;
     std::vector<BrokerId> neighbours;
-    std::unique_ptr<sgx::Platform> platform;
-    sgx::Enclave* enclave = nullptr;
-    /// Both session ends this broker terminates, keyed by peer broker
-    /// (initiator on edges where this broker is the BFS parent).
-    std::map<BrokerId, std::unique_ptr<net::AttestedSession>> sessions;
-    std::unique_ptr<net::SessionDemux> demux;
-    Bytes overlay_key;
-    std::unique_ptr<bigdata::FlowNode> flow;
 
     ShardedPosetEngine local;
     std::map<BrokerId, ShardedPosetEngine> recv;  // peer -> advertised to us
     std::map<BrokerId, ShardedPosetEngine> sent;  // peer -> advertised by us
 
-    std::unique_ptr<obs::NodeObs> onode;
     obs::Counter* obs_forwarded = nullptr;
     obs::Counter* obs_suppressed = nullptr;
     obs::Counter* obs_prunes = nullptr;
@@ -177,10 +166,6 @@ class FabricOverlay {
     obs::Counter* obs_deliveries = nullptr;
   };
 
-  Status establish_edge(sgx::AttestationService& service, BrokerId parent,
-                        BrokerId child, const sgx::Measurement& policy);
-  void on_key_record(Broker& broker, Bytes record);
-  void attach_flow(Broker& broker);
   void wire_counters(Broker& broker, obs::Registry* registry);
   void on_flow_payload(Broker& broker, net::NodeId from_node, Bytes payload);
 
@@ -210,6 +195,7 @@ class FabricOverlay {
   FabricOverlayConfig config_;
   Status topology_;
   bool ready_ = false;
+  std::unique_ptr<bigdata::AttestedCluster> cluster_;
   std::vector<std::unique_ptr<Broker>> brokers_;
   std::map<net::NodeId, BrokerId> node_to_broker_;
   std::map<SubscriptionId, BrokerId> home_;

@@ -4,8 +4,6 @@
 #include <bit>
 #include <set>
 
-#include "bigdata/mapreduce.hpp"
-
 namespace securecloud::streams {
 
 namespace {
@@ -231,63 +229,37 @@ void Pipeline::wire_counters(Stage& stage, obs::Registry* registry) {
 Status Pipeline::setup(sgx::AttestationService& service) {
   if (ready_) return Error::protocol("pipeline already set up");
   SC_RETURN_IF_ERROR(topology_);
+  cluster_ = std::make_unique<bigdata::AttestedCluster>(
+      fabric_, service, bigdata::cluster_config(config_, shared_registry_));
 
-  // --- stages: fabric nodes, links, observability ------------------------
+  // --- stages: attested nodes, counters, window engines, links -----------
   // The fabric node (and NodeObs bundle) is *named after the stage*, so
   // spans carry the stage name as their node label and the critical-path
-  // analyzer's dominant_node IS the bottleneck stage's name.
+  // analyzer's dominant_node IS the bottleneck stage's name. Stages
+  // attest as the canonical worker image: operators run inside the same
+  // measured enclave the MapReduce plane ships.
   for (auto& stage : stages_) {
-    stage->node = fabric_.add_node(stage->spec.name);
+    auto index = cluster_->add_node(stage->spec.name,
+                                    "platform-stage-" + stage->spec.name,
+                                    config_.entropy_seed_base + stage->index);
+    if (!index.ok()) return index.error();
+    stage->node = cluster_->node_id(*index);
     if (stage->index + 1 < stages_.size()) {
       stage->credits = config_.credit_window;
     }
+    wire_counters(*stage, cluster_->registry(stage->index));
+    if (stage->spec.kind == StageKind::kWindow) {
+      Stage* raw = stage.get();
+      stage->agg = std::make_unique<bigdata::TumblingWindowAggregator>(
+          stage->spec.window.size_s, stage->spec.window.allowed_lateness_s,
+          [this, raw](const bigdata::WindowResult& result) {
+            raw->window_out.push_back(window_record(result, fabric_.now_ns()));
+          });
+      stage->agg->set_obs(cluster_->registry(stage->index));
+    }
   }
   for (std::size_t i = 0; i + 1 < stages_.size(); ++i) {
-    SC_RETURN_IF_ERROR(
-        fabric_.connect(stages_[i]->node, stages_[i + 1]->node, config_.link));
-  }
-  for (auto& stage : stages_) {
-    if (shared_registry_ == nullptr) {
-      stage->onode = std::make_unique<obs::NodeObs>(
-          stage->spec.name, fabric_.clock(),
-          static_cast<std::uint32_t>(stage->node), config_.flight_capacity);
-      wire_counters(*stage, &stage->onode->registry);
-    } else {
-      wire_counters(*stage, shared_registry_);
-    }
-  }
-
-  // --- window engines ----------------------------------------------------
-  for (auto& stage : stages_) {
-    if (stage->spec.kind != StageKind::kWindow) continue;
-    Stage* raw = stage.get();
-    stage->agg = std::make_unique<bigdata::TumblingWindowAggregator>(
-        stage->spec.window.size_s, stage->spec.window.allowed_lateness_s,
-        [this, raw](const bigdata::WindowResult& result) {
-          raw->window_out.push_back(window_record(result, fabric_.now_ns()));
-        });
-    stage->agg->set_obs(stage->onode ? &stage->onode->registry : shared_registry_);
-  }
-
-  // --- platforms and enclaves --------------------------------------------
-  // Stages attest as the canonical worker image: operators run inside the
-  // same measured enclave the MapReduce plane ships.
-  const sgx::EnclaveImage image = bigdata::mapreduce_worker_image();
-  for (auto& stage : stages_) {
-    sgx::PlatformConfig cfg;
-    cfg.platform_id = "platform-stage-" + stage->spec.name;
-    cfg.entropy_seed = config_.entropy_seed_base + stage->index;
-    stage->platform = std::make_unique<sgx::Platform>(cfg);
-    stage->platform->provision(service);
-    if (stage->onode) {
-      stage->platform->memory().epc().set_flight(&stage->onode->flight);
-    }
-    auto enclave = stage->platform->create_enclave(image);
-    if (!enclave.ok()) return enclave.error();
-    stage->enclave = *enclave;
-    stage->demux = std::make_unique<net::SessionDemux>(fabric_, stage->node,
-                                                       kSessionChannel);
-    SC_RETURN_IF_ERROR(stage->demux->bind());
+    SC_RETURN_IF_ERROR(cluster_->connect(i, i + 1, config_.link));
   }
 
   // --- key dissemination down the chain ----------------------------------
@@ -295,111 +267,19 @@ Status Pipeline::setup(sgx::AttestationService& service) {
   // runs an attested handshake and releases the key through the sealed
   // session — so no stage joins the data plane without proving the
   // pinned MRENCLAVE.
-  const sgx::Measurement policy = stages_[0]->enclave->mrenclave();
-  stages_[0]->key = stages_[0]->platform->entropy().bytes(16);
-  attach_flow(*stages_[0]);
-  for (std::size_t i = 0; i + 1 < stages_.size(); ++i) {
-    SC_RETURN_IF_ERROR(establish_edge(service, i, i + 1, policy));
+  const auto join = [this](std::size_t i, bigdata::FlowNode& flow) {
+    Stage* stage = stages_[i].get();
+    flow.set_on_payload([this, stage](net::NodeId from, Bytes payload) {
+      on_frame(*stage, from, std::move(payload));
+    });
+  };
+  const Bytes key = cluster_->mint_key(0, join);
+  for (std::size_t i = 1; i < stages_.size(); ++i) {
+    SC_RETURN_IF_ERROR(cluster_->establish_key_edge(i - 1, i, key, join));
   }
 
   ready_ = true;
   return {};
-}
-
-Status Pipeline::establish_edge(sgx::AttestationService& service,
-                                std::size_t upstream, std::size_t downstream,
-                                const sgx::Measurement& policy) {
-  Stage& up = *stages_[upstream];
-  Stage& down = *stages_[downstream];
-  const net::AttestedSession::Config::RetryConfig retry{
-      .retransmit_timeout_ns = config_.session_retransmit_timeout_ns,
-      .max_retries = config_.session_max_retries,
-  };
-
-  auto responder = std::make_unique<net::AttestedSession>(
-      net::AttestedSession::Role::kResponder,
-      net::AttestedSession::Config{
-          .fabric = &fabric_,
-          .self = down.node,
-          .peer = up.node,
-          .channel = kSessionChannel,
-          .enclave = down.enclave,
-          .platform = down.platform.get(),
-          .attestation = &service,
-          .expected_peer_mrenclave = policy,
-          .retry = retry,
-      });
-  Stage* down_ptr = &down;
-  responder->set_on_record([this, down_ptr](Bytes record) {
-    on_key_record(*down_ptr, std::move(record));
-  });
-  responder->set_obs(down.onode ? &down.onode->registry : shared_registry_);
-  if (down.onode) responder->set_flight(&down.onode->flight);
-  down.demux->add(up.node, responder.get());
-
-  auto initiator = std::make_unique<net::AttestedSession>(
-      net::AttestedSession::Role::kInitiator,
-      net::AttestedSession::Config{
-          .fabric = &fabric_,
-          .self = up.node,
-          .peer = down.node,
-          .channel = kSessionChannel,
-          .enclave = up.enclave,
-          .platform = up.platform.get(),
-          .attestation = &service,
-          .expected_peer_mrenclave = policy,
-          .retry = retry,
-      });
-  initiator->set_obs(up.onode ? &up.onode->registry : shared_registry_);
-  if (up.onode) initiator->set_flight(&up.onode->flight);
-  up.demux->add(down.node, initiator.get());
-
-  SC_RETURN_IF_ERROR(initiator->start());
-  fabric_.run_until_idle();
-  if (!initiator->established()) {
-    return initiator->failure().ok()
-               ? Error::unavailable("handshake with stage '" + down.spec.name +
-                                    "' did not complete")
-               : initiator->failure().error();
-  }
-  if (!responder->established()) {
-    return responder->failure().ok()
-               ? Error::unavailable("stage '" + down.spec.name +
-                                    "' did not finish the handshake")
-               : responder->failure().error();
-  }
-
-  // The only place the pipeline key crosses the wire: one sealed record.
-  Bytes record;
-  put_blob(record, up.key);
-  SC_RETURN_IF_ERROR(initiator->send(record));
-  fabric_.run_until_idle();
-  if (down.key.empty()) {
-    return Error::protocol("stage '" + down.spec.name +
-                           "' did not accept the pipeline key");
-  }
-  up.sessions[downstream] = std::move(initiator);
-  down.sessions[upstream] = std::move(responder);
-  return {};
-}
-
-void Pipeline::on_key_record(Stage& stage, Bytes record) {
-  ByteReader r(record);
-  Bytes key;
-  if (!r.get_blob(key) || !r.done() || key.empty()) return;
-  stage.key = std::move(key);
-  attach_flow(stage);
-}
-
-void Pipeline::attach_flow(Stage& stage) {
-  stage.flow = std::make_unique<bigdata::FlowNode>(fabric_, stage.node, stage.key,
-                                                   config_.flow);
-  Stage* ptr = &stage;
-  stage.flow->set_on_payload([this, ptr](net::NodeId from, Bytes payload) {
-    on_frame(*ptr, from, std::move(payload));
-  });
-  stage.flow->set_obs(stage.onode ? &stage.onode->registry : shared_registry_);
-  if (stage.onode) stage.flow->set_flight(&stage.onode->flight);
 }
 
 // --- the data plane --------------------------------------------------------
@@ -447,19 +327,20 @@ void Pipeline::pump(std::size_t index) {
 }
 
 void Pipeline::flush_out(Stage& stage) {
-  if (stage.index + 1 >= stages_.size() || !stage.flow) return;
+  bigdata::FlowNode* flow = cluster_->flow(stage.index);
+  if (stage.index + 1 >= stages_.size() || flow == nullptr) return;
   Stage& down = *stages_[stage.index + 1];
   while (!stage.outq.empty()) {
     const Item::Kind kind = stage.outq.front().kind;
     if (kind == Item::Kind::kWatermark) {
-      (void)stage.flow->send(down.node,
+      (void)flow->send(down.node,
                              encode_watermark_frame(stage.outq.front().watermark_s),
                              root_ctx_);
       stage.outq.pop_front();
       continue;
     }
     if (kind == Item::Kind::kEos) {
-      (void)stage.flow->send(down.node, encode_eos_frame(), root_ctx_);
+      (void)flow->send(down.node, encode_eos_frame(), root_ctx_);
       stage.outq.pop_front();
       continue;
     }
@@ -487,7 +368,7 @@ void Pipeline::flush_out(Stage& stage) {
       --stage.outq_records;
     }
     stage.credits -= batch.size();
-    (void)stage.flow->send(down.node, encode_data_frame(batch), root_ctx_);
+    (void)flow->send(down.node, encode_data_frame(batch), root_ctx_);
   }
 }
 
@@ -508,7 +389,7 @@ void Pipeline::maybe_generate(Stage& stage) {
   stage.busy = true;
   stage.pending_out = std::move(pulled);
   stage.batch_span = std::make_unique<obs::Span>(
-      stage.tracer(), "stage." + stage.spec.name, root_ctx_);
+      cluster_->tracer(stage.index), "stage." + stage.spec.name, root_ctx_);
   const std::uint64_t charge = fabric_.scaled_compute_ns(
       stage.node,
       stage.spec.compute_ns_per_record *
@@ -611,7 +492,7 @@ void Pipeline::begin_batch(Stage& stage, std::vector<Record> batch) {
   stage.pending_in = std::move(batch);
   stage.pending_out.clear();
   stage.batch_span = std::make_unique<obs::Span>(
-      stage.tracer(), "stage." + stage.spec.name, root_ctx_);
+      cluster_->tracer(stage.index), "stage." + stage.spec.name, root_ctx_);
   apply_pure(stage);
   const std::uint64_t charge = fabric_.scaled_compute_ns(
       stage.node,
@@ -713,13 +594,14 @@ void Pipeline::push_out_record(Stage& stage, Record record) {
 }
 
 void Pipeline::maybe_grant(Stage& stage) {
-  if (stage.index == 0 || stage.consumed_since_grant == 0 || !stage.flow) return;
+  bigdata::FlowNode* flow = cluster_->flow(stage.index);
+  if (stage.index == 0 || stage.consumed_since_grant == 0 || flow == nullptr) return;
   // Grant when a batch's worth accumulated — or whenever the input queue
   // drained, so credits never strand below the batch threshold.
   const bool drained = stage.inq_records == 0 && !stage.busy;
   if (stage.consumed_since_grant < config_.grant_batch && !drained) return;
   Stage& up = *stages_[stage.index - 1];
-  (void)stage.flow->send(up.node, encode_credit_frame(stage.consumed_since_grant),
+  (void)flow->send(up.node, encode_credit_frame(stage.consumed_since_grant),
                          root_ctx_);
   stage.stats.credits_granted += stage.consumed_since_grant;
   obs_inc(stage.obs_credits_granted, stage.consumed_since_grant);
@@ -744,7 +626,7 @@ Status Pipeline::enable_telemetry(obs::TelemetryMonitor* monitor,
   telemetry_interval_ns_ = interval_ns;
   telemetry_max_frames_ = max_frames_per_stage;
   for (auto& stage : stages_) {
-    stage->sampler = std::make_unique<obs::TelemetrySampler>(stage->onode.get());
+    stage->sampler = std::make_unique<obs::TelemetrySampler>(cluster_->obs(stage->index));
     stage->telemetry_frames = 0;
   }
   return {};
@@ -777,7 +659,7 @@ Status Pipeline::run() {
   if (ran_) return Error::protocol("pipeline already ran");
   ran_ = true;
   run_start_ns_ = fabric_.now_ns();
-  root_span_ = std::make_unique<obs::Span>(stages_.front()->tracer(),
+  root_span_ = std::make_unique<obs::Span>(cluster_->tracer(0),
                                            "stream.pipeline");
   root_ctx_ = root_span_->context();
   pump(0);
@@ -819,38 +701,12 @@ PipelineStats Pipeline::stats() const {
   return out;
 }
 
-Status Pipeline::health() const {
-  for (const auto& stage : stages_) {
-    if (stage->flow) SC_RETURN_IF_ERROR(stage->flow->health());
-    for (const auto& [peer, session] : stage->sessions) {
-      if (!session->established()) {
-        return session->failure().ok()
-                   ? Error::unavailable("session stage '" + stage->spec.name +
-                                        "' <-> stage " + std::to_string(peer) +
-                                        " not established")
-                   : session->failure().error();
-      }
-    }
-  }
-  return {};
-}
-
-Result<obs::ClusterSnapshot> Pipeline::cluster_snapshot() const {
-  if (shared_registry_ != nullptr) {
-    return Error::protocol("pipeline is in shared-registry mode");
-  }
-  if (!ready_) return Error::protocol("pipeline not set up");
-  std::vector<obs::NodeSnapshot> nodes;
-  for (const auto& stage : stages_) nodes.push_back(stage->onode->snapshot());
-  return obs::merge_snapshots(std::move(nodes));
-}
-
 net::NodeId Pipeline::stage_node(std::size_t stage) const {
   return stage < stages_.size() ? stages_[stage]->node : 0;
 }
 
 obs::NodeObs* Pipeline::stage_obs(std::size_t stage) {
-  return stage < stages_.size() ? stages_[stage]->onode.get() : nullptr;
+  return cluster_ && stage < cluster_->size() ? cluster_->obs(stage) : nullptr;
 }
 
 }  // namespace securecloud::streams

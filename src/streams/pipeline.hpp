@@ -3,7 +3,7 @@
 //
 // A Pipeline is a linear chain of operator stages — source, map, filter,
 // key_by, window, process, sink — each running in its own enclave on a
-// fabric node. Setup mirrors the SCBR fabric overlay: every stage gets
+// fabric node. Setup (bigdata/attested_cluster.hpp) gives every stage
 // an sgx::Platform + measured enclave, adjacent stages run an attested
 // handshake (quotes bound to the channel transcript, MRENCLAVE pinned),
 // the pipeline key minted at the source is released hop by hop through
@@ -51,10 +51,9 @@
 #include <string>
 #include <vector>
 
-#include "bigdata/flow.hpp"
+#include "bigdata/attested_cluster.hpp"
 #include "bigdata/streaming.hpp"
 #include "common/thread_pool.hpp"
-#include "net/session_demux.hpp"
 #include "obs/cluster.hpp"
 #include "obs/telemetry.hpp"
 #include "streams/record.hpp"
@@ -212,10 +211,8 @@ class Pipeline {
   Pipeline& operator=(const Pipeline&) = delete;
   ~Pipeline();
 
-  /// Builds the chain: fabric nodes named after their stage, per-stage
-  /// platforms and enclaves, an attested session per edge (established
-  /// source-down), the pipeline key released through each session, and
-  /// a FlowNode per stage keyed by it.
+  /// Brings the stages up as an attested cluster named after them, edges
+  /// walked source-down, releasing the pipeline key over each.
   Status setup(sgx::AttestationService& service);
 
   /// Shared-registry mode: call before setup() to aggregate every
@@ -248,10 +245,13 @@ class Pipeline {
   PipelineStats stats() const;
 
   /// First failure across stage flows and sessions.
-  Status health() const;
+  Status health() const { return cluster_ ? cluster_->health() : Status{}; }
 
   /// Merged per-stage observability (per-node mode only).
-  Result<obs::ClusterSnapshot> cluster_snapshot() const;
+  Result<obs::ClusterSnapshot> cluster_snapshot() const {
+    if (!ready_) return Error::protocol("pipeline not set up");
+    return cluster_->snapshot();
+  }
 
   /// The pipeline root span's context (valid during/after run() in
   /// per-node mode); batch spans on every stage parent to it.
@@ -263,8 +263,6 @@ class Pipeline {
   const Status& topology() const { return topology_; }
 
  private:
-  static constexpr std::uint32_t kSessionChannel = 1;
-
   struct Item {
     enum class Kind : std::uint8_t { kRecord, kWatermark, kEos };
     Kind kind = Kind::kRecord;
@@ -276,15 +274,6 @@ class Pipeline {
     std::size_t index = 0;
     StageSpec spec;
     net::NodeId node = 0;
-    std::unique_ptr<sgx::Platform> platform;
-    sgx::Enclave* enclave = nullptr;
-    std::unique_ptr<net::SessionDemux> demux;
-    /// Sessions this stage terminates, keyed by peer stage index
-    /// (initiator toward downstream, responder toward upstream).
-    std::map<std::size_t, std::unique_ptr<net::AttestedSession>> sessions;
-    Bytes key;
-    std::unique_ptr<bigdata::FlowNode> flow;
-    std::unique_ptr<obs::NodeObs> onode;
 
     std::deque<Item> inq;
     std::size_t inq_records = 0;  // data records in inq (controls excluded)
@@ -317,14 +306,8 @@ class Pipeline {
     obs::Counter* obs_credits_granted = nullptr;
     obs::Counter* obs_credit_stalls = nullptr;
     obs::Counter* obs_stall_ns = nullptr;
-
-    obs::Tracer* tracer() { return onode ? &onode->tracer : nullptr; }
   };
 
-  Status establish_edge(sgx::AttestationService& service, std::size_t upstream,
-                        std::size_t downstream, const sgx::Measurement& policy);
-  void on_key_record(Stage& stage, Bytes record);
-  void attach_flow(Stage& stage);
   void wire_counters(Stage& stage, obs::Registry* registry);
   void on_frame(Stage& stage, net::NodeId from, Bytes payload);
 
@@ -349,6 +332,8 @@ class Pipeline {
   Status topology_;
   bool ready_ = false;
   bool ran_ = false;
+  /// Declared before the stages and spans that report into its NodeObs.
+  std::unique_ptr<bigdata::AttestedCluster> cluster_;
   std::vector<std::unique_ptr<Stage>> stages_;
   common::ThreadPool* pool_ = nullptr;
   obs::Registry* shared_registry_ = nullptr;
