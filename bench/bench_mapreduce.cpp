@@ -5,6 +5,7 @@
 // baseline performing the identical aggregation without enclaves or
 // crypto — quantifying what "secure" costs at the application level.
 // Also reports the transfer codec's effect on shuffle volume.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +27,60 @@ double wall_seconds(const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
   fn();
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+/// Seconds per call of `fn`: the best of 5 trials, each repeating it for
+/// at least 20 ms, so a gated rate does not swing with one slow call.
+double best_seconds_per_call(const std::function<void()>& fn) {
+  double best = 1e30;
+  for (int trial = 0; trial < 5; ++trial) {
+    std::size_t calls = 0;
+    double elapsed = 0;
+    const auto start = std::chrono::steady_clock::now();
+    do {
+      fn();
+      ++calls;
+      elapsed =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    } while (elapsed < 0.02);
+    best = std::min(best, elapsed / static_cast<double>(calls));
+  }
+  return best;
+}
+
+struct CodecTiming {
+  double compress_s = 0;
+  double decompress_s = 0;
+};
+
+/// Times rle_compress and rle_decompress over `data` in 64 KiB slices,
+/// about one DMR map task's payload each; rates are in uncompressed
+/// bytes. The slices also keep every output below malloc's mmap
+/// threshold, so fresh-page faults do not swamp the codec's own time.
+CodecTiming time_rle(const Bytes& data) {
+  constexpr std::size_t kSlice = 64 * 1024;
+  std::vector<ByteView> slices;
+  std::vector<Bytes> wires;
+  for (std::size_t offset = 0; offset < data.size(); offset += kSlice) {
+    slices.push_back(ByteView(data).subspan(offset, std::min(kSlice, data.size() - offset)));
+    wires.push_back(bigdata::rle_compress(slices.back()));
+    const auto back = bigdata::rle_decompress(wires.back());
+    if (!back.ok() || !std::equal(back->begin(), back->end(), slices.back().begin(),
+                                  slices.back().end())) {
+      std::printf("RLE round trip failed\n");
+      std::exit(1);
+    }
+  }
+  std::size_t sink = 0;
+  CodecTiming t;
+  t.compress_s = best_seconds_per_call([&] {
+    for (const ByteView slice : slices) sink += bigdata::rle_compress(slice).size();
+  });
+  t.decompress_s = best_seconds_per_call([&] {
+    for (const Bytes& wire : wires) sink += bigdata::rle_decompress(wire)->size();
+  });
+  if (sink == 0) std::printf("(empty codec input)\n");
+  return t;
 }
 
 /// Plaintext baseline: identical per-meter two-window aggregation, no
@@ -87,6 +142,9 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::size_t>{50} : std::vector<std::size_t>{50, 200, 500};
   // Summed over the sweep for the gated secure_records_per_sec rate.
   double secure_records = 0, secure_seconds = 0;
+  // The first job's sealed records as a DMR map task carries them
+  // (length-prefixed), for the codec rates below.
+  Bytes sealed_records;
   for (const std::size_t households : sweep) {
     GridConfig grid;
     grid.households = households;
@@ -106,6 +164,11 @@ int main(int argc, char** argv) {
     std::vector<std::vector<Bytes>> partitions;
     const double prep_s = wall_seconds(
         [&] { partitions = detector.prepare_partitions(fleet, 8); });
+    if (sealed_records.empty()) {
+      for (const auto& partition : partitions) {
+        for (const Bytes& record : partition) put_blob(sealed_records, record);
+      }
+    }
 
     TheftDetectionConfig config;
     config.job.num_mappers = 8;
@@ -187,9 +250,28 @@ int main(int argc, char** argv) {
               sender.stats().plaintext_bytes, sender.stats().wire_bytes, chunks.size(),
               sender.stats().compression_ratio());
 
-  char rate[64];
-  std::snprintf(rate, sizeof rate, "\"secure_records_per_sec\":%.0f",
-                secure_records / secure_seconds);
+  // Flow codec rates: sealed records barely compress (literal scans), the
+  // meter batch is run-heavy (repeat scans). The gated rates cover both.
+  const CodecTiming sealed_t = time_rle(sealed_records);
+  const CodecTiming batch_t = time_rle(batch);
+  const auto mb_per_s = [](std::size_t bytes, double s) {
+    return static_cast<double>(bytes) / s / 1e6;
+  };
+  std::printf("RLE sealed records (%zu B): compress %.0f MB/s, decompress %.0f MB/s\n",
+              sealed_records.size(), mb_per_s(sealed_records.size(), sealed_t.compress_s),
+              mb_per_s(sealed_records.size(), sealed_t.decompress_s));
+  std::printf("RLE meter batch (%zu B):    compress %.0f MB/s, decompress %.0f MB/s\n",
+              batch.size(), mb_per_s(batch.size(), batch_t.compress_s),
+              mb_per_s(batch.size(), batch_t.decompress_s));
+  const double codec_bytes = static_cast<double>(sealed_records.size() + batch.size());
+
+  char rate[192];
+  std::snprintf(rate, sizeof rate,
+                "\"secure_records_per_sec\":%.0f,\"rle_compress_bytes_per_sec\":%.0f,"
+                "\"rle_decompress_bytes_per_sec\":%.0f",
+                secure_records / secure_seconds,
+                codec_bytes / (sealed_t.compress_s + batch_t.compress_s),
+                codec_bytes / (sealed_t.decompress_s + batch_t.decompress_s));
   benchutil::emit_bench_json("mapreduce", threads, registry, rate);
   return 0;
 }

@@ -1,5 +1,9 @@
 #include "bigdata/codec.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+
 namespace securecloud::bigdata {
 
 void put_varint(Bytes& out, std::uint64_t v) {
@@ -60,38 +64,86 @@ namespace {
 // [0x80..0xff] = next byte repeats (n-0x80+2) times.
 constexpr std::size_t kMaxLiteral = 128;
 constexpr std::size_t kMaxRepeat = 129;
+
+constexpr std::uint64_t kLowBytes = 0x0101010101010101ULL;
+constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+
+// Unaligned 8-byte load; memcpy keeps it defined behaviour.
+std::uint64_t load_word(const std::uint8_t* p) {
+  std::uint64_t w = 0;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
+
+// Offset of the lowest-addressed nonzero byte of a nonzero word.
+std::size_t first_nonzero_byte(std::uint64_t w) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return static_cast<std::size_t>(std::countr_zero(w)) / 8;
+  } else {
+    return static_cast<std::size_t>(std::countl_zero(w)) / 8;
+  }
+}
+
+// 0x80 in exactly the bytes of `w` that are zero (no borrow false
+// positives, so first_nonzero_byte is exact on either endianness).
+std::uint64_t zero_bytes(std::uint64_t w) {
+  return ~(((w & kLow7) + kLow7) | w | kLow7);
+}
+
+// End of the literal run that starts at i: the first p in (i, i+128)
+// where a >=3 repeat starts, else the cap. Byte k of
+// (w0^w1)|(w1^w2), with the words loaded at p, p+1 and p+2, is zero iff
+// data[p+k] == data[p+k+1] == data[p+k+2]; the loads read [p, p+10), so
+// the word scan stops 10 bytes before the end and bytes finish the tail.
+std::size_t literal_end(const std::uint8_t* d, std::size_t n, std::size_t i) {
+  const std::size_t cap = std::min(n, i + kMaxLiteral);
+  std::size_t p = i + 1;
+  for (; p < cap && p + 10 <= n; p += 8) {
+    const std::uint64_t w1 = load_word(d + p + 1);
+    const std::uint64_t triples =
+        zero_bytes((load_word(d + p) ^ w1) | (w1 ^ load_word(d + p + 2)));
+    if (triples != 0) return std::min(cap, p + first_nonzero_byte(triples));
+  }
+  for (; p < cap; ++p) {
+    if (p + 2 < n && d[p] == d[p + 1] && d[p] == d[p + 2]) return p;
+  }
+  return cap;
+}
+
+// End of the repeat run of d[i], capped at kMaxRepeat bytes.
+std::size_t repeat_end(const std::uint8_t* d, std::size_t n, std::size_t i) {
+  const std::size_t cap = std::min(n, i + kMaxRepeat);
+  const std::uint64_t splat = kLowBytes * d[i];
+  std::size_t j = i + 1;
+  for (; j + 8 <= cap; j += 8) {
+    const std::uint64_t diff = load_word(d + j) ^ splat;
+    if (diff != 0) return j + first_nonzero_byte(diff);
+  }
+  while (j < cap && d[j] == d[i]) ++j;
+  return j;
+}
 }  // namespace
 
 Bytes rle_compress(ByteView data) {
+  const std::uint8_t* d = data.data();
+  const std::size_t n = data.size();
   Bytes out;
-  put_varint(out, data.size());
+  // Worst case: one control byte per 128 literal bytes plus the header.
+  out.reserve(n + n / kMaxLiteral + 12);
+  put_varint(out, n);
   std::size_t i = 0;
-  while (i < data.size()) {
-    // Measure the repeat run at i.
-    std::size_t run = 1;
-    while (i + run < data.size() && data[i + run] == data[i] && run < kMaxRepeat) {
-      ++run;
-    }
+  while (i < n) {
+    const std::size_t run = repeat_end(d, n, i) - i;
     if (run >= 2) {
       out.push_back(static_cast<std::uint8_t>(0x80 + run - 2));
-      out.push_back(data[i]);
+      out.push_back(d[i]);
       i += run;
       continue;
     }
-    // Literal run: until the next >=3 repeat or the cap.
-    std::size_t literal_end = i + 1;
-    while (literal_end < data.size() && literal_end - i < kMaxLiteral) {
-      if (literal_end + 2 < data.size() && data[literal_end] == data[literal_end + 1] &&
-          data[literal_end] == data[literal_end + 2]) {
-        break;
-      }
-      ++literal_end;
-    }
-    const std::size_t len = literal_end - i;
-    out.push_back(static_cast<std::uint8_t>(len - 1));
-    out.insert(out.end(), data.begin() + static_cast<std::ptrdiff_t>(i),
-               data.begin() + static_cast<std::ptrdiff_t>(literal_end));
-    i = literal_end;
+    const std::size_t end = literal_end(d, n, i);
+    out.push_back(static_cast<std::uint8_t>(end - i - 1));
+    out.insert(out.end(), d + i, d + end);
+    i = end;
   }
   return out;
 }
@@ -107,28 +159,26 @@ Result<Bytes> rle_decompress(ByteView wire) {
     return Error::protocol("RLE header claims impossible size");
   }
 
+  const std::uint8_t* w = wire.data();
+  const std::size_t n = wire.size();
+  std::size_t pos = n - reader.remaining();
   Bytes out;
   out.reserve(expected_size);
   while (out.size() < expected_size) {
-    std::uint8_t control = 0;
-    if (!reader.get_u8(control)) return Error::protocol("truncated RLE stream");
+    if (pos == n) return Error::protocol("truncated RLE stream");
+    const std::uint8_t control = w[pos++];
     if (control < 0x80) {
-      const std::size_t len = control + 1;
-      if (reader.remaining() < len) return Error::protocol("truncated RLE literal");
-      for (std::size_t i = 0; i < len; ++i) {
-        std::uint8_t b = 0;
-        (void)reader.get_u8(b);
-        out.push_back(b);
-      }
+      const std::size_t len = control + 1u;
+      if (n - pos < len) return Error::protocol("truncated RLE literal");
+      out.insert(out.end(), w + pos, w + pos + len);
+      pos += len;
     } else {
-      const std::size_t len = control - 0x80 + 2;
-      std::uint8_t b = 0;
-      if (!reader.get_u8(b)) return Error::protocol("truncated RLE repeat");
-      out.insert(out.end(), len, b);
+      if (pos == n) return Error::protocol("truncated RLE repeat");
+      out.insert(out.end(), control - 0x80u + 2, w[pos++]);
     }
     if (out.size() > expected_size) return Error::protocol("RLE overrun");
   }
-  if (!reader.done()) return Error::protocol("trailing RLE bytes");
+  if (pos != n) return Error::protocol("trailing RLE bytes");
   return out;
 }
 

@@ -473,9 +473,16 @@ void DistributedMapReduce::worker_handle_map_task(Worker& worker,
     worker_fail(worker, Error::protocol("malformed map task"));
     return;
   }
-  std::vector<Bytes> records(count);
+  // Records are views into the decompressed payload, which outlives this
+  // synchronous handler. Each takes at least its 4-byte length prefix, so
+  // a larger count is truncated before anything is allocated for it.
+  if (count > reader.remaining() / 4) {
+    worker_fail(worker, Error::protocol("truncated map task"));
+    return;
+  }
+  std::vector<ByteView> records(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    if (!reader.get_blob(records[i])) {
+    if (!reader.get_view(records[i])) {
       worker_fail(worker, Error::protocol("truncated map task"));
       return;
     }
@@ -513,7 +520,7 @@ void DistributedMapReduce::worker_handle_map_task(Worker& worker,
   // pool threads share it.
   const crypto::AesGcm gcm(worker.job_key);
   common::run_indexed(pool_, records.size(), [&](std::size_t i) {
-    auto plain = gcm.open_combined(to_bytes("record"), records[i]);
+    auto plain = gcm.open_combined(kMapReduceRecordAad, records[i]);
     if (!plain.ok()) {
       failed[i] = 1;
       return;
@@ -528,10 +535,9 @@ void DistributedMapReduce::worker_handle_map_task(Worker& worker,
   }
 
   std::vector<std::vector<KeyValue>> per_reducer(R);
+  ReducerMemo reducer(R);
   for (auto& pairs : mapped) {
-    for (auto& kv : pairs) {
-      per_reducer[reducer_of(kv.key, R)].push_back(std::move(kv));
-    }
+    for (auto& kv : pairs) per_reducer[reducer(kv.key)].push_back(std::move(kv));
   }
 
   std::size_t pair_count = 0;
@@ -1244,7 +1250,7 @@ std::vector<Bytes> DistributedMapReduce::encrypt_partition(
   common::run_indexed(pool_, records.size(), [&](std::size_t i) {
     out[i] =
         gcm.seal_combined(crypto::nonce_from_counter(base + i + 1, kMapReduceRecordDomain),
-                          to_bytes("record"), records[i]);
+                          kMapReduceRecordAad, records[i]);
   });
   return out;
 }

@@ -71,7 +71,7 @@ std::vector<Bytes> SecureMapReduce::encrypt_partition(const std::vector<Bytes>& 
   std::vector<Bytes> out(records.size());
   common::run_indexed(pool_, records.size(), [&](std::size_t i) {
     out[i] = gcm.seal_combined(crypto::nonce_from_counter(base + i + 1, kRecordDomain),
-                               to_bytes("record"), records[i]);
+                               kMapReduceRecordAad, records[i]);
   });
   return out;
 }
@@ -144,16 +144,16 @@ Result<JobResult> SecureMapReduce::run(
     ++tally.enclave_transitions;
 
     std::vector<std::vector<KeyValue>> per_reducer(config.num_reducers);
+    ReducerMemo reducer(config.num_reducers);
     for (const auto& sealed_record : encrypted_partitions[p]) {
-      auto record = gcm.open_combined(to_bytes("record"), sealed_record);
+      auto record = gcm.open_combined(kMapReduceRecordAad, sealed_record);
       if (!record.ok()) {
         tally.error = Error::integrity("input record failed authentication");
         return;
       }
       ++tally.input_records;
       for (auto& kv : map_fn(*record)) {
-        const std::size_t r = reducer_of(kv.key, config.num_reducers);
-        per_reducer[r].push_back(std::move(kv));
+        per_reducer[reducer(kv.key)].push_back(std::move(kv));
       }
     }
 

@@ -16,8 +16,10 @@
 // shuffle traffic; tampering with shuffle data aborts the job.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
+#include <unordered_map>
 
 #include "common/result.hpp"
 #include "common/thread_pool.hpp"
@@ -40,6 +42,10 @@ struct KeyValue {
 inline constexpr std::uint32_t kMapReduceRecordDomain = 0x4d525245;   // "MRRE"
 inline constexpr std::uint32_t kMapReduceShuffleDomain = 0x4d525348;  // "MRSH"
 
+/// AAD every sealed input record is bound to ("record").
+inline constexpr std::array<std::uint8_t, 6> kMapReduceRecordAad = {
+    'r', 'e', 'c', 'o', 'r', 'd'};
+
 /// Wire codec for intermediate (key, value) pair blocks: u32 count, then
 /// length-prefixed key + bit-cast double per pair.
 Bytes serialize_pairs(const std::vector<KeyValue>& pairs);
@@ -47,6 +53,23 @@ Result<std::vector<KeyValue>> deserialize_pairs(ByteView wire);
 
 /// Hash partitioner: the reducer owning `key` (SHA-256 prefix mod).
 std::size_t reducer_of(const std::string& key, std::size_t num_reducers);
+
+/// reducer_of memoised for one map task: a task sees few distinct keys
+/// (one per meter) in many pairs, so each key is hashed once. One per
+/// map task; not thread-safe.
+class ReducerMemo {
+ public:
+  explicit ReducerMemo(std::size_t num_reducers) : num_reducers_(num_reducers) {}
+  std::size_t operator()(const std::string& key) {
+    const auto [it, inserted] = memo_.try_emplace(key, 0);
+    if (inserted) it->second = reducer_of(key, num_reducers_);
+    return it->second;
+  }
+
+ private:
+  std::size_t num_reducers_;
+  std::unordered_map<std::string, std::size_t> memo_;
+};
 
 /// The canonical signed map/reduce worker image. All workers share one
 /// MRENCLAVE, so the job key may be released to any attested worker.

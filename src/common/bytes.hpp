@@ -140,18 +140,25 @@ class ByteReader {
     pos_ += 8;
     return true;
   }
-  bool get_blob(Bytes& out) {
+  /// Like get_blob, but returns a view into the reader's buffer instead
+  /// of a copy; it stays valid only as long as that buffer does.
+  bool get_view(ByteView& out) {
     std::uint32_t n = 0;
     if (!get_u32(n) || remaining() < n) return false;
-    out.assign(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-               data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    out = data_.subspan(pos_, n);
     pos_ += n;
     return true;
   }
+  bool get_blob(Bytes& out) {
+    ByteView view;
+    if (!get_view(view)) return false;
+    out.assign(view.begin(), view.end());
+    return true;
+  }
   bool get_str(std::string& out) {
-    Bytes tmp;
-    if (!get_blob(tmp)) return false;
-    out.assign(tmp.begin(), tmp.end());
+    ByteView view;
+    if (!get_view(view)) return false;
+    out.assign(reinterpret_cast<const char*>(view.data()), view.size());
     return true;
   }
   std::size_t remaining() const { return data_.size() - pos_; }

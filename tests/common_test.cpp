@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <vector>
 
@@ -93,6 +94,49 @@ TEST(Bytes, ReaderRejectsOversizedLengthPrefix) {
   ByteReader r(b);
   Bytes blob;
   EXPECT_FALSE(r.get_blob(blob));
+}
+
+TEST(Bytes, ReaderBlobGettersAreTotalOnEveryPrefix) {
+  // Two length-prefixed items; a prefix can cut either one's length
+  // field or payload. On every prefix each getter reads the items that
+  // fit, then returns false without moving past the prefix's end.
+  Bytes full;
+  put_blob(full, Bytes{1, 2, 3, 4, 5, 6, 7, 8, 9});
+  put_str(full, "sealed");
+  const std::size_t first_end = 4 + 9;
+  const std::function<bool(ByteReader&)> getters[] = {
+      [](ByteReader& r) { ByteView v; return r.get_view(v); },
+      [](ByteReader& r) { std::string s; return r.get_str(s); },
+      [](ByteReader& r) { Bytes b; return r.get_blob(b); },
+  };
+  for (std::size_t len = 0; len <= full.size(); ++len) {
+    const std::size_t fitting = (len >= first_end) + (len == full.size());
+    for (const auto& get : getters) {
+      ByteReader r(ByteView(full.data(), len));
+      for (std::size_t i = 0; i < fitting; ++i) ASSERT_TRUE(get(r)) << len;
+      EXPECT_FALSE(get(r)) << len;
+      EXPECT_LE(r.remaining(), len);
+      EXPECT_FALSE(get(r)) << len;
+      EXPECT_LE(r.remaining(), len);
+    }
+  }
+}
+
+TEST(Bytes, ReaderViewAliasesTheSourceBuffer) {
+  Bytes b;
+  put_blob(b, Bytes{7, 8, 9});
+  put_str(b, "record");
+  ByteReader r(b);
+  ByteView blob, str;
+  ASSERT_TRUE(r.get_view(blob));
+  ASSERT_TRUE(r.get_view(str));
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(blob.data(), b.data() + 4);
+  EXPECT_EQ(blob.size(), 3u);
+  EXPECT_EQ(str.data(), b.data() + 4 + 3 + 4);
+  EXPECT_EQ(to_string(str), "record");
+  b[5] = 0x42;  // writes through to the view: no copy was made
+  EXPECT_EQ(blob[1], 0x42);
 }
 
 TEST(Result, OkAndErrorPaths) {
