@@ -15,7 +15,8 @@
 //     p99 window-close-to-sink latency, backpressure stall ratio,
 //     per-stage record counts, theft flags found vs injected;
 //   * securecloud.trace.v2 + securecloud.critical_path.v1 — the merged
-//     pipeline trace; the critical path names the bottleneck stage;
+//     pipeline trace; the critical path names the bottleneck stage, and
+//     critical_path_steps_per_sec is the analyzer's own rate;
 //   * securecloud.bench.v1 (last line, CI-validated schema).
 //
 // Flags: --meters N (default 100'000), --threads N (pool for the pure
@@ -204,7 +205,17 @@ void bench_streams() {
     obs::CriticalPathOptions opts;
     opts.deliveries = &fabric.deliveries();
     opts.node_names = &names;
-    if (auto report = obs::critical_path(*snapshot, opts); report.ok()) {
+    // Analyzer rate: chain steps per wall second, best of 10 (a return to
+    // per-step scans of the delivery log shows up as a collapsing rate).
+    // Three trials of the ~2 ms smoke chain still spread by a quarter on
+    // a busy host, wider than the 10% perf-compare gate.
+    Result<obs::CriticalPathReport> report = Error::internal("unset");
+    double best_s = 0;
+    for (int trial = 0; trial < 10; ++trial) {
+      const double s = wall_seconds([&] { report = obs::critical_path(*snapshot, opts); });
+      if (trial == 0 || s < best_s) best_s = s;
+    }
+    if (report.ok()) {
       std::string per_stage;
       for (const auto& [node, cycles] : report->node_self_cycles) {
         per_stage += (per_stage.empty() ? "" : ",") + ("\"" + node + "\":" +
@@ -213,11 +224,13 @@ void bench_streams() {
       std::printf(
           "{\"bench\":\"streams_critical_path\",\"dominant_stage\":\"%s\","
           "\"total_cycles\":%llu,\"link_cycles\":%llu,\"steps\":%zu,"
-          "\"stage_self_cycles\":{%s}}\n",
+          "\"critical_path_steps_per_sec\":%.0f,\"stage_self_cycles\":{%s}}\n",
           report->dominant_node.c_str(),
           static_cast<unsigned long long>(report->total_cycles),
           static_cast<unsigned long long>(report->link_cycles_total),
-          report->steps.size(), per_stage.c_str());
+          report->steps.size(),
+          best_s > 0 ? static_cast<double>(report->steps.size()) / best_s : 0.0,
+          per_stage.c_str());
     }
   }
 

@@ -1,6 +1,8 @@
 #include "obs/cluster.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 namespace securecloud::obs {
@@ -43,25 +45,6 @@ std::vector<MergedSpan> merged_spans(const ClusterSnapshot& snap) {
     return a.span->span_id < b.span->span_id;
   });
   return all;
-}
-
-std::string flight_events_json(const std::vector<FlightEvent>& evs,
-                               std::uint64_t total) {
-  const std::uint64_t dropped = total >= evs.size() ? total - evs.size() : 0;
-  std::string out = "{\"dropped\":" + std::to_string(dropped) + ",\"events\":[";
-  bool first = true;
-  for (const FlightEvent& ev : evs) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"seq\":" + std::to_string(ev.seq) +
-           ",\"at_cycles\":" + std::to_string(ev.at_cycles) + ",\"category\":";
-    append_json_string(out, ev.category);
-    out += ",\"detail\":";
-    append_json_string(out, ev.detail);
-    out += '}';
-  }
-  out += "]}";
-  return out;
 }
 
 }  // namespace
@@ -237,7 +220,9 @@ std::string ClusterSnapshot::to_obs_json() const {
     first = false;
     out += "{\"node\":";
     append_json_string(out, node.node);
-    out += ",\"obs\":" + snapshot_to_json(node.metrics) + '}';
+    out += ",\"obs\":";
+    append_snapshot_json(out, node.metrics);
+    out += '}';
   }
   out += "]}";
   return out;
@@ -252,12 +237,19 @@ std::string ClusterSnapshot::to_trace_json() const {
     first = false;
     out += "{\"node\":";
     append_json_string(out, *m.node);
-    out += ",\"trace\":" + std::to_string(s.trace_id) +
-           ",\"id\":" + std::to_string(s.span_id) +
-           ",\"parent\":" + std::to_string(s.parent_id) + ",\"name\":";
+    out += ",\"trace\":";
+    append_json_int(out, s.trace_id);
+    out += ",\"id\":";
+    append_json_int(out, s.span_id);
+    out += ",\"parent\":";
+    append_json_int(out, s.parent_id);
+    out += ",\"name\":";
     append_json_string(out, s.name);
-    out += ",\"start_cycles\":" + std::to_string(s.start_cycles) +
-           ",\"end_cycles\":" + std::to_string(s.end_cycles) + ",\"attrs\":{";
+    out += ",\"start_cycles\":";
+    append_json_int(out, s.start_cycles);
+    out += ",\"end_cycles\":";
+    append_json_int(out, s.end_cycles);
+    out += ",\"attrs\":{";
     bool first_attr = true;
     for (const auto& [key, value] : s.attributes) {
       if (!first_attr) out += ',';
@@ -280,8 +272,12 @@ std::string ClusterSnapshot::to_flight_json() const {
     first = false;
     out += "{\"node\":";
     append_json_string(out, node.node);
-    out += ",\"flight\":" + flight_events_json(node.flight, node.flight_total) +
-           '}';
+    out += ",\"flight\":{";
+    const std::uint64_t retained = node.flight.size();
+    append_flight_events_json(
+        out, node.flight,
+        node.flight_total >= retained ? node.flight_total - retained : 0);
+    out += "}}";
   }
   out += "]}";
   return out;
@@ -296,6 +292,19 @@ struct ChainSegment {
   std::uint64_t hi = 0;
   std::size_t depth = 0;
 };
+
+// One node name's attribution index for critical_path().
+struct NodeIndex {
+  std::vector<const LinkDelivery*> inbound;  // by (deliver, send), stable
+  std::vector<std::uint64_t> flight_at;      // sorted flight stamps
+};
+
+bool delivered_before(const LinkDelivery* a, const LinkDelivery* b) {
+  if (a->deliver_cycles != b->deliver_cycles) {
+    return a->deliver_cycles < b->deliver_cycles;
+  }
+  return a->send_cycles < b->send_cycles;
+}
 
 // Backward walk: the chain charges [lo, hi) of `span`'s window to the
 // deepest child covering each instant, walking children latest-end
@@ -386,44 +395,66 @@ Result<CriticalPathReport> critical_path(const ClusterSnapshot& snap,
     }
   }
 
-  // Link attribution: for each step whose span adopted a parent on a
-  // different node, charge the fabric delivery that carried the hop —
-  // the latest traced delivery into the step's node that arrived at or
-  // before the span started.
-  if (opts.deliveries != nullptr && opts.node_names != nullptr) {
-    const std::vector<std::string>& names = *opts.node_names;
-    for (CriticalPathStep& step : report.steps) {
-      if (step.depth == 0) continue;
-      const LinkDelivery* best = nullptr;
-      for (const LinkDelivery& d : *opts.deliveries) {
-        if (d.trace_id != report.trace_id) continue;
-        if (d.dst >= names.size() || names[d.dst] != step.node) continue;
-        if (d.deliver_cycles > step.start_cycles) continue;
-        if (best == nullptr || d.deliver_cycles > best->deliver_cycles ||
-            (d.deliver_cycles == best->deliver_cycles &&
-             d.send_cycles > best->send_cycles)) {
-          best = &d;
-        }
-      }
-      if (best != nullptr && names[best->src] != step.node) {
-        step.link_cycles = best->deliver_cycles - best->send_cycles;
-        report.link_cycles_total += step.link_cycles;
-      }
+  // Per node name (fabric NodeIds and snapshot nodes may share a name):
+  // this trace's deliveries into the node and every flight stamp on it.
+  std::unordered_map<std::string_view, NodeIndex> by_name;
+  for (const NodeSnapshot& node : snap.nodes) {
+    std::vector<std::uint64_t>& at = by_name[node.node].flight_at;
+    for (const FlightEvent& ev : node.flight) at.push_back(ev.at_cycles);
+  }
+  for (auto& [name, index] : by_name) {
+    std::sort(index.flight_at.begin(), index.flight_at.end());
+  }
+  const std::vector<std::string>* names =
+      opts.deliveries != nullptr ? opts.node_names : nullptr;
+  if (names != nullptr) {
+    std::vector<NodeIndex*> index_of(names->size());
+    for (std::size_t id = 0; id < names->size(); ++id) {
+      index_of[id] = &by_name[(*names)[id]];
+    }
+    for (const LinkDelivery& d : *opts.deliveries) {
+      if (d.trace_id != report.trace_id || d.dst >= names->size()) continue;
+      index_of[d.dst]->inbound.push_back(&d);
+    }
+    for (auto& [name, index] : by_name) {
+      std::stable_sort(index.inbound.begin(), index.inbound.end(), delivered_before);
     }
   }
 
-  // Recovery attribution: flight events on the step's node inside the
-  // span window (NACKs, retransmits, dead streams, faults, ...).
   for (CriticalPathStep& step : report.steps) {
-    for (const NodeSnapshot& node : snap.nodes) {
-      if (node.node != step.node) continue;
-      for (const FlightEvent& ev : node.flight) {
-        if (ev.at_cycles >= step.start_cycles && ev.at_cycles <= step.end_cycles) {
-          ++step.recovery_events;
+    const auto it = by_name.find(step.node);
+    if (it == by_name.end()) continue;
+    const NodeIndex& index = it->second;
+
+    // Link attribution: a step whose span adopted a parent on a different
+    // node is charged the fabric delivery that carried the hop — the
+    // latest (deliver, send) traced delivery into the step's node that
+    // arrived at or before the span started; among equal pairs the
+    // earliest in log order, which the stable sort put first in its run.
+    // A source outside the name table is never the step's own node.
+    if (names != nullptr && step.depth != 0) {
+      const auto arrived_end = std::upper_bound(
+          index.inbound.begin(), index.inbound.end(), step.start_cycles,
+          [](std::uint64_t t, const LinkDelivery* d) { return t < d->deliver_cycles; });
+      if (arrived_end != index.inbound.begin()) {
+        const LinkDelivery* best = *std::lower_bound(
+            index.inbound.begin(), arrived_end, *(arrived_end - 1), delivered_before);
+        if (best->src >= names->size() || (*names)[best->src] != step.node) {
+          step.link_cycles = best->deliver_cycles - best->send_cycles;
+          report.link_cycles_total += step.link_cycles;
         }
       }
     }
-    report.recovery_events_total += step.recovery_events;
+
+    // Recovery attribution: flight events on the step's node inside the
+    // inclusive span window (NACKs, retransmits, dead streams, faults, ...).
+    if (step.end_cycles >= step.start_cycles) {
+      const std::vector<std::uint64_t>& at = index.flight_at;
+      step.recovery_events = static_cast<std::uint64_t>(
+          std::upper_bound(at.begin(), at.end(), step.end_cycles) -
+          std::lower_bound(at.begin(), at.end(), step.start_cycles));
+      report.recovery_events_total += step.recovery_events;
+    }
   }
 
   for (const CriticalPathStep& step : report.steps) {
@@ -441,20 +472,31 @@ Result<CriticalPathReport> critical_path(const ClusterSnapshot& snap,
 }
 
 std::string CriticalPathReport::to_json() const {
-  std::string out = "{\"schema\":\"securecloud.critical_path.v1\",\"trace\":" +
-                    std::to_string(trace_id) +
-                    ",\"total_cycles\":" + std::to_string(total_cycles) +
-                    ",\"dominant_node\":";
+  // Reserve a lower bound, so never more than the result: a step's keys
+  // with empty strings and one-digit numbers take this many bytes. One
+  // doubling from there covers the usual ~180 bytes a step, where a chain
+  // of doublings from the header can overshoot by almost 2x.
+  constexpr std::size_t kMinStepJsonBytes = 122;
+  std::string out;
+  out.reserve(steps.size() * kMinStepJsonBytes);
+  out += "{\"schema\":\"securecloud.critical_path.v1\",\"trace\":";
+  append_json_int(out, trace_id);
+  out += ",\"total_cycles\":";
+  append_json_int(out, total_cycles);
+  out += ",\"dominant_node\":";
   append_json_string(out, dominant_node);
-  out += ",\"link_cycles_total\":" + std::to_string(link_cycles_total) +
-         ",\"recovery_events_total\":" + std::to_string(recovery_events_total) +
-         ",\"node_self_cycles\":{";
+  out += ",\"link_cycles_total\":";
+  append_json_int(out, link_cycles_total);
+  out += ",\"recovery_events_total\":";
+  append_json_int(out, recovery_events_total);
+  out += ",\"node_self_cycles\":{";
   bool first = true;
   for (const auto& [node, self] : node_self_cycles) {
     if (!first) out += ',';
     first = false;
     append_json_string(out, node);
-    out += ':' + std::to_string(self);
+    out += ':';
+    append_json_int(out, self);
   }
   out += "},\"steps\":[";
   first = true;
@@ -465,13 +507,21 @@ std::string CriticalPathReport::to_json() const {
     append_json_string(out, step.node);
     out += ",\"name\":";
     append_json_string(out, step.name);
-    out += ",\"id\":" + std::to_string(step.span_id) +
-           ",\"depth\":" + std::to_string(step.depth) +
-           ",\"start_cycles\":" + std::to_string(step.start_cycles) +
-           ",\"end_cycles\":" + std::to_string(step.end_cycles) +
-           ",\"self_cycles\":" + std::to_string(step.self_cycles) +
-           ",\"link_cycles\":" + std::to_string(step.link_cycles) +
-           ",\"recovery_events\":" + std::to_string(step.recovery_events) + '}';
+    out += ",\"id\":";
+    append_json_int(out, step.span_id);
+    out += ",\"depth\":";
+    append_json_int(out, step.depth);
+    out += ",\"start_cycles\":";
+    append_json_int(out, step.start_cycles);
+    out += ",\"end_cycles\":";
+    append_json_int(out, step.end_cycles);
+    out += ",\"self_cycles\":";
+    append_json_int(out, step.self_cycles);
+    out += ",\"link_cycles\":";
+    append_json_int(out, step.link_cycles);
+    out += ",\"recovery_events\":";
+    append_json_int(out, step.recovery_events);
+    out += '}';
   }
   out += "]}";
   return out;

@@ -22,6 +22,19 @@
 // fabric delivery records, and flight-recorder events inside a step's
 // window are counted as recovery activity — separating per-node
 // compute vs. link serialization vs. recovery stalls.
+//
+// Attribution rules (both passes are index lookups, so the analysis
+// costs O((steps + deliveries + flight events) log n)):
+//   link     — a non-root step is charged the delivery of its trace into
+//              its node (matched by name) with the largest
+//              (deliver_cycles, send_cycles) pair at or before the
+//              step's start; among equal pairs the earliest in log order
+//              wins. The charge is deliver - send, and only when the
+//              winner's source is another node (a source id past the
+//              name table counts as another node). Deliveries whose dst
+//              is past the name table are ignored.
+//   recovery — flight events of every snapshot node with the step's
+//              name, inside the inclusive window [start, end].
 #pragma once
 
 #include <cstdint>

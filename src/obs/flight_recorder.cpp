@@ -7,6 +7,28 @@
 
 namespace securecloud::obs {
 
+void append_flight_events_json(std::string& out, const std::vector<FlightEvent>& evs,
+                               std::uint64_t dropped) {
+  out += "\"dropped\":";
+  append_json_int(out, dropped);
+  out += ",\"events\":[";
+  bool first = true;
+  for (const FlightEvent& ev : evs) {
+    if (!first) out += ',';
+    first = false;
+    out += "{\"seq\":";
+    append_json_int(out, ev.seq);
+    out += ",\"at_cycles\":";
+    append_json_int(out, ev.at_cycles);
+    out += ",\"category\":";
+    append_json_string(out, ev.category);
+    out += ",\"detail\":";
+    append_json_string(out, ev.detail);
+    out += '}';
+  }
+  out += ']';
+}
+
 void FlightRecorder::record(std::string category, std::string detail) {
   auto* ev = new FlightEvent;
   ev->seq = seq_.fetch_add(1, std::memory_order_relaxed);
@@ -50,21 +72,9 @@ std::uint64_t FlightRecorder::total_recorded() const {
 std::string FlightRecorder::to_json() const {
   const std::vector<FlightEvent> evs = merged_events();
   const std::uint64_t total = seq_.load(std::memory_order_relaxed);
-  const std::uint64_t dropped = total - evs.size();
-  std::string out = "{\"schema\":\"securecloud.flight.v1\",\"dropped\":" +
-                    std::to_string(dropped) + ",\"events\":[";
-  bool first = true;
-  for (const FlightEvent& ev : evs) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"seq\":" + std::to_string(ev.seq) +
-           ",\"at_cycles\":" + std::to_string(ev.at_cycles) + ",\"category\":";
-    append_json_string(out, ev.category);
-    out += ",\"detail\":";
-    append_json_string(out, ev.detail);
-    out += '}';
-  }
-  out += "]}";
+  std::string out = "{\"schema\":\"securecloud.flight.v1\",";
+  append_flight_events_json(out, evs, total - evs.size());
+  out += '}';
   return out;
 }
 

@@ -39,6 +39,11 @@ struct FlightEvent {
   std::string detail;
 };
 
+/// Appends `"dropped":N,"events":[...]`: the members that the flight.v1
+/// document and each node's entry in flight.v2 share.
+void append_flight_events_json(std::string& out, const std::vector<FlightEvent>& evs,
+                               std::uint64_t dropped);
+
 class FlightRecorder {
  public:
   explicit FlightRecorder(const SimClock& clock, std::size_t capacity = 128)

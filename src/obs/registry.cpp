@@ -8,15 +8,21 @@ namespace securecloud::obs {
 // the JSON specials anyway so a stray name cannot corrupt the document.
 void append_json_string(std::string& out, const std::string& s) {
   out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
+  std::size_t plain = 0;  // start of the pending run that needs no escape
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char* escaped = nullptr;
+    switch (s[i]) {
+      case '"': escaped = "\\\""; break;
+      case '\\': escaped = "\\\\"; break;
+      case '\n': escaped = "\\n"; break;
+      case '\t': escaped = "\\t"; break;
+      default: continue;
     }
+    out.append(s, plain, i - plain);
+    out += escaped;
+    plain = i + 1;
   }
+  out.append(s, plain);
   out += '"';
 }
 
@@ -50,15 +56,15 @@ void Registry::reset() {
   histograms_.for_each([](const std::string&, Histogram* h) { h->reset(); });
 }
 
-std::string snapshot_to_json(const Snapshot& snap) {
-  std::string out = "{\"schema\":\"securecloud.obs.v1\",\"counters\":{";
+void append_snapshot_json(std::string& out, const Snapshot& snap) {
+  out += "{\"schema\":\"securecloud.obs.v1\",\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : snap.counters) {
     if (!first) out += ',';
     first = false;
     append_json_string(out, name);
     out += ':';
-    out += std::to_string(value);
+    append_json_int(out, value);
   }
   out += "},\"gauges\":{";
   first = true;
@@ -67,7 +73,7 @@ std::string snapshot_to_json(const Snapshot& snap) {
     first = false;
     append_json_string(out, name);
     out += ':';
-    out += std::to_string(value);
+    append_json_int(out, value);
   }
   out += "},\"histograms\":{";
   first = true;
@@ -75,17 +81,29 @@ std::string snapshot_to_json(const Snapshot& snap) {
     if (!first) out += ',';
     first = false;
     append_json_string(out, name);
-    out += ":{\"count\":" + std::to_string(h.count) +
-           ",\"sum\":" + std::to_string(h.sum) + ",\"buckets\":[";
+    out += ":{\"count\":";
+    append_json_int(out, h.count);
+    out += ",\"sum\":";
+    append_json_int(out, h.sum);
+    out += ",\"buckets\":[";
     bool first_bucket = true;
     for (const auto& [le, n] : h.buckets) {
       if (!first_bucket) out += ',';
       first_bucket = false;
-      out += "[" + std::to_string(le) + "," + std::to_string(n) + "]";
+      out += '[';
+      append_json_int(out, le);
+      out += ',';
+      append_json_int(out, n);
+      out += ']';
     }
     out += "]}";
   }
   out += "}}";
+}
+
+std::string snapshot_to_json(const Snapshot& snap) {
+  std::string out;
+  append_snapshot_json(out, snap);
   return out;
 }
 

@@ -31,6 +31,8 @@
 #pragma once
 
 #include <array>
+#include <charconv>
+#include <concepts>
 #include <deque>
 #include <functional>
 #include <map>
@@ -140,8 +142,20 @@ class Registry {
 std::string snapshot_to_json(const Snapshot& snap);
 std::string snapshot_to_prometheus(const Snapshot& snap);
 
+/// Appends what snapshot_to_json returns to `out`, for exporters that
+/// embed one registry document in a larger one.
+void append_snapshot_json(std::string& out, const Snapshot& snap);
+
 /// Appends `s` as a quoted, escaped JSON string. Shared by every obs
 /// exporter so all schemas escape identically.
 void append_json_string(std::string& out, const std::string& s);
+
+/// Appends the decimal form of `v`, spelled as std::to_string spells it,
+/// without building a temporary string.
+inline void append_json_int(std::string& out, std::integral auto v) {
+  char digits[24];  // 20 digits of a u64, or a sign and 19 of an i64
+  const auto end = std::to_chars(digits, digits + sizeof digits, v).ptr;
+  out.append(digits, end);
+}
 
 }  // namespace securecloud::obs

@@ -5,6 +5,9 @@
 namespace securecloud::streams {
 
 namespace {
+// Empty key and payload: two u32 lengths plus three u64 fields.
+constexpr std::size_t kMinRecordWireBytes = 4 + 8 + 8 + 8 + 4;
+
 void put_f64(Bytes& out, double v) { put_u64(out, std::bit_cast<std::uint64_t>(v)); }
 
 bool get_f64(ByteReader& in, double& v) {
@@ -67,6 +70,12 @@ Result<Frame> decode_frame(ByteView wire) {
       frame.type = FrameType::kData;
       std::uint32_t n = 0;
       if (!r.get_u32(n)) return Error::protocol("data frame missing count");
+      // A record takes at least kMinRecordWireBytes, so a larger count is
+      // truncated (or corrupt) before anything is allocated for it.
+      if (n > r.remaining() / kMinRecordWireBytes) {
+        return Error::protocol("data frame truncated: " + std::to_string(n) +
+                               " records claimed");
+      }
       frame.batch.resize(n);
       for (std::uint32_t i = 0; i < n; ++i) {
         if (!get_record(r, frame.batch[i])) {

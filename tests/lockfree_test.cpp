@@ -267,11 +267,20 @@ TEST(EventRing, KeepsLastCapacityEvents) {
 TEST(EventRing, HammerWriterVsExporterUnderReclamation) {
   EpochDomain domain;
   EventRing<StampedEvent> ring(domain, 32);
+  std::atomic<bool> started{false};
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> exports{0};
+  std::atomic<bool> exporter_done{false};
 
   std::thread exporter([&] {
+    // Marks the exit even when an ASSERT below returns early, so the
+    // writer's wait for a first export cannot hang on a failure.
+    struct DoneMark {
+      std::atomic<bool>& done;
+      ~DoneMark() { done.store(true, std::memory_order_release); }
+    } done_mark{exporter_done};
     std::vector<const StampedEvent*> out;
+    started.store(true, std::memory_order_release);
     while (!stop.load(std::memory_order_acquire)) {
       out.clear();
       EpochDomain::Guard guard(domain);
@@ -287,9 +296,17 @@ TEST(EventRing, HammerWriterVsExporterUnderReclamation) {
   });
 
   // Single writer churns far past capacity so every append retires an
-  // event while the exporter may be mid-walk.
+  // event while the exporter may be mid-walk. On a loaded host the
+  // writer could otherwise finish before the exporter is scheduled at
+  // all, so it starts only once the exporter runs and stops it only
+  // after one full export pass.
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
   for (std::uint64_t i = 0; i < 50'000; ++i) {
     ring.append(new StampedEvent{i, "event-" + std::to_string(i)});
+  }
+  while (exports.load(std::memory_order_relaxed) == 0 &&
+         !exporter_done.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
   }
   stop.store(true, std::memory_order_release);
   exporter.join();

@@ -93,6 +93,69 @@ TEST(StreamRecord, DecodeIsStrict) {
   EXPECT_FALSE(decode_frame(truncated).ok());
 }
 
+TEST(StreamRecord, HugeRecordCountIsRejectedBeforeAllocating) {
+  // A count far beyond what the remaining bytes could hold (each record
+  // takes at least 32 wire bytes) is a typed error, not a ~4G-record
+  // allocation.
+  Bytes wire = encode_data_frame({make_record("k", 1, 2.0)});
+  for (std::size_t i = 1; i <= 4; ++i) wire[i] = 0xFF;
+  auto huge = decode_frame(wire);
+  ASSERT_FALSE(huge.ok());
+  EXPECT_NE(huge.error().message.find("truncated"), std::string::npos)
+      << huge.error().message;
+
+  // The bound is exact: an empty record is 32 bytes, so two empty
+  // records decode and a count of three over the same bytes does not.
+  Bytes two = encode_data_frame({Record{}, Record{}});
+  ASSERT_TRUE(decode_frame(two).ok());
+  two[1] = 3;  // low byte of the little-endian u32 count after the tag
+  EXPECT_FALSE(decode_frame(two).ok());
+}
+
+TEST(StreamRecord, FrameFuzzPrefixesAndByteFlips) {
+  Record a = make_record("meter-7", 1234, -17.25);
+  a.origin_ns = 999;
+  a.payload = to_bytes("extra");
+  const std::vector<Bytes> wires = {
+      encode_data_frame({a, make_record("", 0, 0.5), make_record("m", 9, 1.0)}),
+      encode_data_frame({}),
+      encode_watermark_frame(86400),
+      encode_eos_frame(),
+      encode_credit_frame(48),
+  };
+  for (const Bytes& wire : wires) {
+    // Every strict prefix fails with a typed error: frames are
+    // self-delimiting, so no prefix is a complete frame.
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      const Bytes prefix(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len));
+      auto r = decode_frame(prefix);
+      ASSERT_FALSE(r.ok()) << "prefix of length " << len << " decoded";
+      EXPECT_FALSE(r.error().message.empty());
+    }
+    // Every single-byte flip either errors or decodes to a frame that
+    // re-encodes to exactly the mutated bytes.
+    for (std::size_t i = 0; i < wire.size(); ++i) {
+      for (std::uint8_t flip : {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xFF}}) {
+        Bytes mutated = wire;
+        mutated[i] ^= flip;
+        auto r = decode_frame(mutated);
+        if (!r.ok()) {
+          EXPECT_FALSE(r.error().message.empty());
+          continue;
+        }
+        Bytes again;
+        switch (r->type) {
+          case FrameType::kData: again = encode_data_frame(r->batch); break;
+          case FrameType::kWatermark: again = encode_watermark_frame(r->watermark_s); break;
+          case FrameType::kEos: again = encode_eos_frame(); break;
+          case FrameType::kCredit: again = encode_credit_frame(r->credits); break;
+        }
+        EXPECT_EQ(again, mutated) << "byte " << i << " flip " << int{flip};
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------------------- builder
 
 TEST(StreamPipeline, BuilderRejectsMalformedChains) {
